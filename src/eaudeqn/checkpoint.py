@@ -8,6 +8,8 @@ canonical text plus digest; resuming against a different config is refused.
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 
 import numpy as np
@@ -27,61 +29,90 @@ _MAGIC = b"EAUDECK1"
 
 
 # -- binary codec -------------------------------------------------------------
+#
+# Both directions stream: save writes straight into the file and load reads
+# each array straight into its final buffer. Building the whole file in memory
+# first cost two file-sized copies per call, and whether the allocator kept or
+# returned those pages to the system made save and load up to twice as slow.
 
 
-def _encode(obj, out: bytearray) -> None:
+def _encode(obj, write) -> None:
+    """Append obj's encoding through write(bytes-like)."""
     if obj is None:
-        out += b"N"
+        write(b"N")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out += b"B" + (b"\x01" if obj else b"\x00")
+        write(b"B" + (b"\x01" if obj else b"\x00"))
     elif isinstance(obj, (int, np.integer)):
         value = int(obj)
         raw = value.to_bytes((value.bit_length() + 8) // 8 or 1, "little", signed=True)
-        out += b"I" + struct.pack("<I", len(raw)) + raw
+        write(b"I" + struct.pack("<I", len(raw)) + raw)
     elif isinstance(obj, (float, np.floating)):
-        out += b"F" + struct.pack("<d", float(obj))
+        write(b"F" + struct.pack("<d", float(obj)))
     elif isinstance(obj, str):
         raw = obj.encode("utf-8")
-        out += b"S" + struct.pack("<I", len(raw)) + raw
+        write(b"S" + struct.pack("<I", len(raw)) + raw)
     elif isinstance(obj, (bytes, bytearray)):
-        out += b"Y" + struct.pack("<I", len(obj)) + bytes(obj)
+        write(b"Y" + struct.pack("<I", len(obj)) + bytes(obj))
     elif isinstance(obj, (list, tuple)):
-        out += b"L" + struct.pack("<I", len(obj))
+        write(b"L" + struct.pack("<I", len(obj)))
         for item in obj:
-            _encode(item, out)
+            _encode(item, write)
     elif isinstance(obj, dict):
-        out += b"D" + struct.pack("<I", len(obj))
+        write(b"D" + struct.pack("<I", len(obj)))
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise CheckpointError(f"dict keys must be strings, got {type(key).__name__}")
-            _encode(key, out)
-            _encode(value, out)
+            _encode(key, write)
+            _encode(value, write)
     elif isinstance(obj, np.ndarray):
         arr = np.ascontiguousarray(obj)
         dtype = arr.dtype.str.encode("ascii")
-        out += b"A" + struct.pack("<I", len(dtype)) + dtype
-        out += struct.pack("<B", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}q", *arr.shape) if arr.ndim else b""
-        raw = arr.tobytes()
-        out += struct.pack("<Q", len(raw)) + raw
+        shape = struct.pack(f"<{arr.ndim}q", *arr.shape) if arr.ndim else b""
+        write(b"A" + struct.pack("<I", len(dtype)) + dtype + struct.pack("<B", arr.ndim) + shape)
+        write(struct.pack("<Q", arr.nbytes))
+        write(arr.data)
     else:
         raise CheckpointError(f"cannot serialize {type(obj).__name__}")
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads a payload of `size` bytes from a binary stream, checking every
+    length against the bytes left before it reads or allocates anything."""
+
+    def __init__(self, stream, size: int):
+        self.stream = stream
+        self.size = size
         self.offset = 0
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.data):
+    def _claim(self, n: int, what: str) -> int:
+        """Reserve the next n bytes; returns where they start."""
+        start = self.offset
+        if start + n > self.size:
             raise DataFormatError(
-                f"corrupted checkpoint: needed {n} bytes for {what} at byte offset {self.offset}",
-                byte_offset=self.offset,
+                f"corrupted checkpoint: needed {n} bytes for {what} at byte offset {start}",
+                byte_offset=start,
             )
-        chunk = self.data[self.offset : self.offset + n]
         self.offset += n
+        return start
+
+    def _check_read(self, got: int, n: int, what: str, start: int) -> None:
+        if got != n:  # the file shrank while it was read
+            raise DataFormatError(
+                f"corrupted checkpoint: read {got} of {n} bytes for {what} at byte offset {start}",
+                byte_offset=start,
+            )
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self._claim(n, what)
+        chunk = self.stream.read(n)
+        self._check_read(len(chunk), n, what, start)
         return chunk
+
+    def take_array(self, dtype: np.dtype, shape: tuple, nbytes: int) -> np.ndarray:
+        start = self._claim(nbytes, "array payload")
+        arr = np.empty(shape, dtype=dtype)
+        self._check_read(self.stream.readinto(arr.data), nbytes, "array payload", start)
+        return arr
 
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -117,6 +148,10 @@ def _decode(reader: _Reader):
     if tag == b"A":
         (n,) = reader.unpack("<I", "dtype length")
         dtype = np.dtype(reader.take(n, "dtype").decode("ascii"))
+        if dtype.hasobject:
+            raise DataFormatError(
+                f"corrupted checkpoint: object array at byte offset {reader.offset}", byte_offset=reader.offset
+            )
         (ndim,) = reader.unpack("<B", "ndim")
         shape = reader.unpack(f"<{ndim}q", "shape") if ndim else ()
         (nbytes,) = reader.unpack("<Q", "array length")
@@ -127,31 +162,34 @@ def _decode(reader: _Reader):
                 f"at byte offset {reader.offset}",
                 byte_offset=reader.offset,
             )
-        raw = reader.take(nbytes, "array payload")
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        return reader.take_array(dtype, shape, nbytes)
     raise DataFormatError(
         f"corrupted checkpoint: unknown tag {tag!r} at byte offset {reader.offset - 1}",
         byte_offset=reader.offset - 1,
     )
 
 
-def encode_payload(payload: dict) -> bytes:
-    out = bytearray(_MAGIC)
-    _encode(payload, out)
-    return bytes(out)
-
-
-def decode_payload(blob: bytes) -> dict:
-    reader = _Reader(blob)
+def _decode_stream(stream, size: int) -> dict:
+    reader = _Reader(stream, size)
     if reader.take(len(_MAGIC), "magic") != _MAGIC:
         raise DataFormatError("not a checkpoint file (bad magic)", byte_offset=0)
     payload = _decode(reader)
-    if reader.offset != len(blob):
+    if reader.offset != size:
         raise DataFormatError(
             f"trailing bytes after checkpoint payload at byte offset {reader.offset}",
             byte_offset=reader.offset,
         )
     return payload
+
+
+def encode_payload(payload: dict) -> bytes:
+    out = bytearray(_MAGIC)
+    _encode(payload, out.extend)
+    return bytes(out)
+
+
+def decode_payload(blob: bytes) -> dict:
+    return _decode_stream(io.BytesIO(blob), len(blob))
 
 
 # -- state <-> payload --------------------------------------------------------
@@ -298,13 +336,16 @@ def state_to_payload(state: TrainState) -> dict:
     return payload
 
 
-def payload_to_state(payload: dict) -> TrainState:
+def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState:
+    """Rebuild a TrainState. The replay buffer copies the payload's arrays
+    unless adopt_buffer is set, as for a payload that was just decoded and has
+    no other user."""
     config = build_config(parse_config_text(payload["config_text"]))
     if config_digest(config) != payload["config_digest"]:
         raise CheckpointError("checkpoint config text does not match its stored digest")
     env = make_env(config.env)
     buffer = ReplayBuffer(config.buffer_capacity, env.spec.observation_width, env.spec.action_space)
-    buffer.load_state_dict(payload["buffer"])
+    buffer.load_state_dict(payload["buffer"], copy=not adopt_buffer)
     streams = {}
     for label, bitgen_state in payload["streams"].items():
         stream = RngStream(config.seed, label)
@@ -352,12 +393,13 @@ def payload_to_state(payload: dict) -> TrainState:
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    blob = encode_payload(state_to_payload(state))
+    payload = state_to_payload(state)
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(_MAGIC)
+        _encode(payload, fh.write)
 
 
 def load_checkpoint(path) -> TrainState:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    return payload_to_state(decode_payload(blob))
+        payload = _decode_stream(fh, os.fstat(fh.fileno()).st_size)
+    return payload_to_state(payload, adopt_buffer=True)

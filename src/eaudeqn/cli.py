@@ -46,7 +46,7 @@ def _cmd_train(args) -> int:
             return 2
     try:
         log, state = run_training(config, resume=resume_state, threads=args.threads)
-    except CheckpointError as err:
+    except (CheckpointError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NumericAbortError as err:
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=None, help="override the config seed")
     train.add_argument("--out", default=None, help="output directory (log.csv, checkpoint.ckpt, ...)")
     train.add_argument("--resume", default=None, help="checkpoint to continue from")
-    train.add_argument("--threads", type=int, default=1, help="worker threads for member updates")
+    train.add_argument("--threads", type=int, default=1, help="worker threads for the population updates (>= 1)")
     train.set_defaults(fn=_cmd_train)
 
     ev = sub.add_parser("evaluate", help="evaluate a checkpointed policy")

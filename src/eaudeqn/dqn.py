@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .nncore import NetworkParams, forward
-from .population import Member, member_gradient_step
+from .population import Member, Network, member_gradient_step
 from .pruning import Mask, PolyPruneConfig, apply_mask, magnitude_mask, poly_schedule, sparsity_of
 from .replay import Batch
 from .rng import RngStream
@@ -25,7 +25,10 @@ def td_targets(target_params: NetworkParams, target_mask: Mask, batch: Batch, ga
 
 
 def train_member(member: Member, batch: Batch, targets: np.ndarray) -> tuple[Member, float]:
-    """One masked gradient step on the summed squared TD error."""
+    """One masked gradient step on the summed squared TD error.
+
+    Takes one member or a population's stack (one step for every row).
+    """
     return member_gradient_step(member, batch.states, batch.actions, targets)
 
 
@@ -39,13 +42,15 @@ def epsilon_at(step: int, start: float, end: float, decay_steps: int) -> float:
     return start + (end - start) * frac
 
 
-def act_epsilon_greedy(member: Member, state, epsilon: float, rng: RngStream) -> int:
-    """Uniform action with probability epsilon, else the greedy argmax."""
-    q = forward(member.params, member.mask, state)
-    n_actions = q.shape[-1]
+def act_epsilon_greedy(member: Member | Network, state, epsilon: float, rng: RngStream) -> int:
+    """Uniform action with probability epsilon, else the greedy argmax.
+
+    Only the member's params and mask are read. The coin is flipped first, so
+    an exploring step skips the forward pass.
+    """
     if epsilon > 0.0 and float(rng.uniform()) < epsilon:
-        return int(rng.integers(n_actions))
-    return int(q.argmax())
+        return int(rng.integers(member.params.layer_specs[-1].output_width))
+    return int(forward(member.params, member.mask, state).argmax())
 
 
 def distillqn_update(member: Member, schedule: PolyPruneConfig, t: int) -> Member:

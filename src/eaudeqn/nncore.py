@@ -6,8 +6,14 @@ Every forward/backward call takes a binary mask over the weight matrices
 masked positions are hard zeros, so pruned weights are exact training fixed
 points under a fresh optimizer.
 
-All operations are pure: they return new parameter/state values and never
-mutate their inputs.
+The same containers and kernels also hold a stack of K networks of one shape:
+weights (K, out, in), biases (K, out), masks (K, out, in) and an Adam step
+count per network as a (K,) array. forward, td_loss_and_grad,
+backprop_from_output and adam_step run all K at once with batched matmuls
+over a shared input batch; each row gives exactly the bits its network alone
+would give, so a stacked pass equals K separate passes.
+
+The kernels return new parameter/state values and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -82,6 +88,10 @@ class NetworkParams:
             self.layer_specs,
         )
 
+    def row(self, k: int) -> "NetworkParams":
+        """Network k of a stack, as views into the stack's arrays."""
+        return NetworkParams([w[k] for w in self.weights], [b[k] for b in self.biases], self.layer_specs)
+
     def n_layers(self) -> int:
         return len(self.weights)
 
@@ -139,6 +149,8 @@ def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _check_shapes(params: NetworkParams, mask: "Mask", x: np.ndarray) -> None:
+    if x.ndim < 2 and params.weights[0].ndim == 3:
+        raise ConfigError("a stack of networks takes a batch of inputs, not a single vector")
     if x.shape[-1] != params.layer_specs[0].input_width:
         raise ConfigError(
             f"input width {x.shape[-1]} != network input width {params.layer_specs[0].input_width}"
@@ -148,16 +160,25 @@ def _check_shapes(params: NetworkParams, mask: "Mask", x: np.ndarray) -> None:
             raise ConfigError(f"layer {i}: mask shape {m.shape} != weight shape {w.shape}")
 
 
+def _preact(a: np.ndarray, w_eff: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ w_eff.T + b; a stack's (K, out) biases broadcast over the batch rows."""
+    z = a @ w_eff.swapaxes(-1, -2)
+    # in place: a broadcast add into a new (K, batch, out) array costs more
+    z += b[:, None, :] if b.ndim == 2 else b
+    return z
+
+
 def forward(params: NetworkParams, mask: "Mask", x) -> np.ndarray:
     """Network output with effective weights w * mask. Biases are never masked.
 
-    Accepts a single input vector or a batch (rows are samples).
+    Accepts a single input vector or a batch (rows are samples). A stack takes
+    a batch only: it maps the batch through each of its K networks and
+    returns (K, batch, out).
     """
     a = np.asarray(x, dtype=np.float64)
     _check_shapes(params, mask, a)
     for i, spec in enumerate(params.layer_specs):
-        w_eff = params.weights[i] * mask.layers[i]
-        z = a @ w_eff.T + params.biases[i]
+        z = _preact(a, params.weights[i] * mask.layers[i], params.biases[i])
         a = _activate(spec.activation, z)
     return a
 
@@ -171,7 +192,7 @@ def _forward_cache(params: NetworkParams, mask: "Mask", x: np.ndarray):
     a = x
     for i, spec in enumerate(params.layer_specs):
         w_eff = params.weights[i] * mask.layers[i]
-        z = a @ w_eff.T + params.biases[i]
+        z = _preact(a, w_eff, params.biases[i])
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite pre-activation in layer {i}", layer_index=i)
         a = _activate(spec.activation, z)
@@ -192,7 +213,8 @@ def backprop_from_output(
     """Reverse pass from a gradient w.r.t. the network output.
 
     Returns (parameter gradients, gradient w.r.t. the input batch). Weight
-    gradients are hard-zeroed at masked positions.
+    gradients are hard-zeroed at masked positions. For a stack, dout is
+    (K, batch, out) and every gradient carries the leading (K,) axis.
     """
     n = params.n_layers()
     grad_w: list = [None] * n
@@ -201,8 +223,8 @@ def backprop_from_output(
     for i in reversed(range(n)):
         spec = params.layer_specs[i]
         dz = delta * _activate_grad(spec.activation, preacts[i], activations[i + 1])
-        grad_w[i] = (dz.T @ activations[i]) * mask.layers[i]
-        grad_b[i] = dz.sum(axis=0)
+        grad_w[i] = (dz.swapaxes(-1, -2) @ activations[i]) * mask.layers[i]
+        grad_b[i] = dz.sum(axis=-2)
         w_eff = effective[i] if effective is not None else params.weights[i] * mask.layers[i]
         delta = dz @ w_eff
     return NetworkParams(grad_w, grad_b, params.layer_specs), delta
@@ -219,6 +241,8 @@ def td_loss_and_grad(
 
     loss = sum_j (target_j - Q(s_j)[a_j])^2, restricted to the selected
     action outputs. Gradient entries at masked-out weights are exactly zero.
+    A stack scores the one batch with each network: the loss is then a (K,)
+    array and the gradient is stacked.
     """
     x = np.atleast_2d(np.asarray(batch_inputs, dtype=np.float64))
     actions = np.asarray(batch_action_indices, dtype=np.int64)
@@ -230,12 +254,14 @@ def td_loss_and_grad(
     activations, preacts, effective = _forward_cache(params, mask, x)
     out = activations[-1]
     rows = np.arange(x.shape[0])
-    residual = out[rows, actions] - targets
-    loss = float(residual @ residual)
+    # contiguous rows: a strided dot product rounds differently
+    residual = np.ascontiguousarray(out[..., rows, actions] - targets)
+    # one dot product per network: the BLAS call of `residual @ residual`
+    loss = (residual[..., None, :] @ residual[..., :, None])[..., 0, 0]
     dout = np.zeros_like(out)
-    dout[rows, actions] = 2.0 * residual
+    dout[..., rows, actions] = 2.0 * residual
     grad, _ = backprop_from_output(params, mask, activations, preacts, dout, effective)
-    return loss, grad
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def backward(params, mask, batch_inputs, batch_action_indices, batch_targets) -> NetworkParams:
@@ -245,7 +271,11 @@ def backward(params, mask, batch_inputs, batch_action_indices, batch_targets) ->
 
 @dataclass
 class AdamState:
-    """Adam accumulators plus hyperparameters; shapes mirror the parameters."""
+    """Adam accumulators plus hyperparameters; shapes mirror the parameters.
+
+    For a stack of networks, step_count is a (K,) int array: one count per
+    network, since a reset network restarts its bias correction.
+    """
 
     m: NetworkParams
     v: NetworkParams
@@ -284,11 +314,21 @@ def adam_step(
     """One bias-corrected Adam update: p -= lr * m_hat / (sqrt(v_hat) + eps).
 
     Positions whose gradient is zero with zero accumulated moments (all
-    masked-out weights under a fresh optimizer) are left bit-identical.
+    masked-out weights under a fresh optimizer) are left bit-identical. A
+    stack is updated in one pass, each row with its own step count.
     """
     t = state.step_count + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    # Bias corrections use Python's pow, so a stack row gets the bits of a lone
+    # network. When every row is at the same step they are plain floats;
+    # otherwise per-row values broadcast over each row's entries.
+    steps = np.ravel(t).tolist()
+    if len(set(steps)) == 1:
+        bc_w = bc_b = (1.0 - state.beta1 ** steps[0], 1.0 - state.beta2 ** steps[0])
+    else:
+        bc1 = np.array([1.0 - state.beta1 ** s for s in steps])
+        bc2 = np.array([1.0 - state.beta2 ** s for s in steps])
+        bc_w = (bc1[:, None, None], bc2[:, None, None])
+        bc_b = (bc1[:, None], bc2[:, None])
     n = params.n_layers()
     pw: list = [None] * n
     pb: list = [None] * n
@@ -297,18 +337,18 @@ def adam_step(
     vw: list = [None] * n
     vb: list = [None] * n
 
-    def _update(p, g, m, v):
+    def _update(p, g, m, v, bc):
         m2 = state.beta1 * m + (1.0 - state.beta1) * g
         v2 = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        step = state.learning_rate * (m2 / bc1) / (np.sqrt(v2 / bc2) + state.epsilon)
+        step = state.learning_rate * (m2 / bc[0]) / (np.sqrt(v2 / bc[1]) + state.epsilon)
         return p - step, m2, v2
 
     for i in range(n):
         pw[i], mw[i], vw[i] = _update(
-            params.weights[i], grad.weights[i], state.m.weights[i], state.v.weights[i]
+            params.weights[i], grad.weights[i], state.m.weights[i], state.v.weights[i], bc_w
         )
         pb[i], mb[i], vb[i] = _update(
-            params.biases[i], grad.biases[i], state.m.biases[i], state.v.biases[i]
+            params.biases[i], grad.biases[i], state.m.biases[i], state.v.biases[i], bc_b
         )
     new_state = replace(
         state,

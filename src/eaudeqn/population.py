@@ -1,8 +1,13 @@
 """Population members and the selection mechanics of adaptive pruning.
 
 A Member is one online network: parameters, binary mask, optimizer state,
-cumulated loss, sparsity, and a lineage id. A Population holds K members plus
-the shared target snapshot and the champion index.
+cumulated loss, sparsity, and a lineage id. A Member can also hold K networks
+stacked along a leading axis (see nncore); its per-member scalars are then
+(K,) arrays. A Population keeps its K members that way, as one stacked
+Member, plus the shared target snapshot and the champion index, so a
+gradient pass over the population is one batched forward/backward and one
+Adam step. Population.members reads the stack as a list of per-row Member
+views: their arrays are views into the stack, their scalars are copies.
 
 Selection happens in two phases at every selection event:
 
@@ -11,10 +16,11 @@ the champion (lowest cumulated loss); every other slot runs one tournament:
 draw M distinct members uniformly without replacement and keep the one with
 the lowest cumulated loss.
 
-exploration -- the first occurrence of each source moves in untouched;
-every later occurrence is a duplicate: the source's parameters are copied,
-a fresh (weakly higher) sparsity is sampled, the copy is magnitude-pruned and
-hard-zeroed at the new mask, its optimizer is reset, and it starts a new
+exploration -- the next stack gathers the selected rows. The first
+occurrence of each source moves in untouched; every later occurrence is a
+duplicate: the source's parameters are copied, a fresh (weakly higher)
+sparsity is sampled, the copy is magnitude-pruned and hard-zeroed at the new
+mask, its optimizer moments and step count are reset, and it starts a new
 lineage. All cumulated losses are then reset to zero.
 
 Dynamics note: duplicates sample their new sparsity starting from the target
@@ -27,11 +33,11 @@ resurrects a pruned weight. Realized sparsity is what gets reported.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .nncore import AdamState, NetworkParams, adam_step, reset_optimizer, td_loss_and_grad
 from .pruning import (
     EauDeConfig,
@@ -49,7 +55,12 @@ LOSS_FLOOR = 1e-12  # behavior sampling clamp; cumulated losses start at 0
 
 @dataclass
 class Member:
-    """One online network plus its optimizer, loss account, and lineage."""
+    """One online network plus its optimizer, loss account, and lineage.
+
+    Or K of them stacked: every array then has a leading (K,) axis and the
+    scalars (cumulated_loss, sparsity, lineage_id, mask_target and the
+    optimizer's step_count) are (K,) arrays.
+    """
 
     params: NetworkParams
     mask: Mask
@@ -64,21 +75,143 @@ class Member:
 
 
 @dataclass
-class Population:
-    """K members, the shared target snapshot, and the champion index."""
+class Network:
+    """A member's network alone, parameters and mask: all that acting reads."""
 
-    members: list[Member]
+    params: NetworkParams
+    mask: Mask
+
+
+def _map_members(fn, *members: Member) -> Member:
+    """A Member whose every per-member array or scalar is fn(*the members' ones).
+
+    Layer specs and optimizer hyperparameters are shared: they come from the
+    first member.
+    """
+
+    def nets(ps):
+        if ps[0] is None:
+            return None
+        return NetworkParams(
+            [fn(*ws) for ws in zip(*(p.weights for p in ps))],
+            [fn(*bs) for bs in zip(*(p.biases for p in ps))],
+            ps[0].layer_specs,
+        )
+
+    def masks(ms):
+        return None if ms[0] is None else Mask([fn(*ls) for ls in zip(*(m.layers for m in ms))])
+
+    opts = [m.optimizer for m in members]
+    first = opts[0]
+    return Member(
+        params=nets([m.params for m in members]),
+        mask=masks([m.mask for m in members]),
+        optimizer=AdamState(
+            nets([o.m for o in opts]),
+            nets([o.v for o in opts]),
+            fn(*(o.step_count for o in opts)),
+            first.learning_rate,
+            first.epsilon,
+            first.beta1,
+            first.beta2,
+        ),
+        cumulated_loss=fn(*(m.cumulated_loss for m in members)),
+        sparsity=fn(*(m.sparsity for m in members)),
+        lineage_id=fn(*(m.lineage_id for m in members)),
+        mask_target=fn(*(m.mask_target for m in members)),
+        target_params=nets([m.target_params for m in members]),
+        target_mask=masks([m.target_mask for m in members]),
+    )
+
+
+def stack_members(members: list[Member]) -> Member:
+    """Copy same-shaped members into one stack, row k from members[k]."""
+    return _map_members(lambda *xs: np.array(xs), *members)
+
+
+def stack_row(stack: Member, k: int) -> Member:
+    """Row k of a stack: its arrays are views into the stack, its scalars copies."""
+    # written out, not via _map_members: the loops build rows on every step
+    opt = stack.optimizer
+    return Member(
+        params=stack.params.row(k),
+        mask=stack.mask.row(k),
+        optimizer=AdamState(
+            opt.m.row(k),
+            opt.v.row(k),
+            int(opt.step_count[k]),
+            opt.learning_rate,
+            opt.epsilon,
+            opt.beta1,
+            opt.beta2,
+        ),
+        cumulated_loss=float(stack.cumulated_loss[k]),
+        sparsity=float(stack.sparsity[k]),
+        lineage_id=int(stack.lineage_id[k]),
+        mask_target=float(stack.mask_target[k]),
+        target_params=None if stack.target_params is None else stack.target_params.row(k),
+        target_mask=None if stack.target_mask is None else stack.target_mask.row(k),
+    )
+
+
+def split_stack(stack: Member, parts: int) -> list[Member]:
+    """Up to `parts` contiguous, non-empty row chunks of a stack, as views."""
+    k = len(stack.lineage_id)
+    n = min(parts, k)
+    bounds = [k * i // n for i in range(n + 1)]
+    return [_map_members(lambda a: a[lo:hi], stack) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def concat_stacks(stacks: list[Member]) -> Member:
+    """Join row chunks back into one stack (the inverse of split_stack)."""
+    return _map_members(lambda *xs: np.concatenate(xs), *stacks)
+
+
+@dataclass(init=False)
+class Population:
+    """K members stacked into one Member, the shared target snapshot, and the
+    champion index."""
+
+    stack: Member = field(init=False)
     target_params: NetworkParams | None
     target_mask: Mask | None
     champion_index: int
     next_lineage_id: int
 
+    def __init__(
+        self,
+        members: list[Member],
+        target_params: NetworkParams | None = None,
+        target_mask: Mask | None = None,
+        champion_index: int = 0,
+        next_lineage_id: int = 0,
+    ):
+        """Stack `members`. dataclasses.replace(population, members=...)
+        restacks; the stack itself is not an init field."""
+        self.stack = stack_members(members)
+        self.target_params = target_params
+        self.target_mask = target_mask
+        self.champion_index = champion_index
+        self.next_lineage_id = next_lineage_id
+
     @property
     def k(self) -> int:
-        return len(self.members)
+        return len(self.stack.lineage_id)
+
+    @property
+    def members(self) -> list[Member]:
+        """Per-row views of the stack (see stack_row); read-only."""
+        return [self.member(k) for k in range(self.k)]
+
+    def member(self, k: int) -> Member:
+        return stack_row(self.stack, k)
+
+    def network(self, k: int) -> Network:
+        """Row k's params and mask as views, without the rest of the member."""
+        return Network(self.stack.params.row(k), self.stack.mask.row(k))
 
     def losses(self) -> list[float]:
-        return [m.cumulated_loss for m in self.members]
+        return self.stack.cumulated_loss.tolist()
 
 
 def fresh_member(params: NetworkParams, optimizer: AdamState, lineage_id: int, with_target: bool = False) -> Member:
@@ -109,19 +242,25 @@ def member_digest(member: Member) -> str:
     return h.hexdigest()
 
 
+def check_finite_loss(loss, member: Member, what: str) -> None:
+    """Raise NonFiniteError naming the lineage of the first non-finite loss."""
+    finite = np.isfinite(loss)
+    if not finite.all():
+        first_bad = np.flatnonzero(~finite)[0]
+        raise NonFiniteError(f"non-finite {what} on lineage {np.ravel(member.lineage_id)[first_bad]}")
+
+
 def member_gradient_step(member: Member, inputs, action_indices, targets) -> tuple[Member, float]:
     """One masked TD gradient step; returns the updated member and batch loss.
 
     The cumulated loss grows by the scalar batch loss; the mask is unchanged;
     weights are re-zeroed at masked positions so the member invariant
     (params exactly zero where masked) holds even when stale optimizer
-    moments exist from before a mask change.
+    moments exist from before a mask change. A stack takes the step on every
+    row at once and returns a (K,) loss.
     """
     loss, grad = td_loss_and_grad(member.params, member.mask, inputs, action_indices, targets)
-    if not np.isfinite(loss):
-        from .errors import NonFiniteError
-
-        raise NonFiniteError(f"non-finite batch loss on lineage {member.lineage_id}")
+    check_finite_loss(loss, member, "batch loss")
     new_params, new_opt = adam_step(member.params, grad, member.optimizer)
     new_params = apply_mask(new_params, member.mask)
     updated = replace(

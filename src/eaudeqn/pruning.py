@@ -22,12 +22,17 @@ from .rng import RngStream
 
 @dataclass
 class Mask:
-    """Per-layer 0/1 matrices matching one network's weight shapes."""
+    """Per-layer 0/1 matrices matching one network's weight shapes (or a
+    stack's, with the same leading (K,) axis)."""
 
     layers: list[np.ndarray]
 
     def copy(self) -> "Mask":
         return Mask([m.copy() for m in self.layers])
+
+    def row(self, k: int) -> "Mask":
+        """Mask k of a stack, as views into the stack's arrays."""
+        return Mask([m[k] for m in self.layers])
 
 
 def mask_of_ones(params: NetworkParams) -> Mask:

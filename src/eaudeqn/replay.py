@@ -97,13 +97,17 @@ class ReplayBuffer:
         if n < 1:
             raise ConfigError("cannot sample from an empty replay buffer")
         idx = rng.integers(0, n, size=batch_size)
-        slots = self._ordered_indices()[idx]
+        # logical index i (0 = oldest) lives in slot i until the ring wraps,
+        # then in (head + i) % capacity; fancy indexing already copies
+        if self.insert_count > self.capacity:
+            head = self.insert_count % self.capacity
+            idx = (head + idx) % self.capacity
         return Batch(
-            states=self._states[slots].copy(),
-            actions=self._actions[slots].copy(),
-            rewards=self._rewards[slots].copy(),
-            next_states=self._next_states[slots].copy(),
-            dones=self._dones[slots].copy(),
+            states=self._states[idx],
+            actions=self._actions[idx],
+            rewards=self._rewards[idx],
+            next_states=self._next_states[idx],
+            dones=self._dones[idx],
         )
 
     # -- checkpoint support --------------------------------------------------
@@ -119,15 +123,18 @@ class ReplayBuffer:
             "dones": self._dones,
         }
 
-    def load_state_dict(self, state: dict) -> None:
+    def load_state_dict(self, state: dict, *, copy: bool = True) -> None:
+        """Restore a state_dict(). With copy=False the buffer adopts the
+        arrays, which the caller must not use again (push writes into them)."""
         if state["capacity"] != self.capacity:
             raise ConfigError("replay capacity mismatch on restore")
+        take = np.copy if copy else np.asarray
         self.insert_count = int(state["insert_count"])
-        self._states = state["states"].copy()
-        self._next_states = state["next_states"].copy()
-        self._actions = state["actions"].copy()
-        self._rewards = state["rewards"].copy()
-        self._dones = state["dones"].copy()
+        self._states = take(state["states"])
+        self._next_states = take(state["next_states"])
+        self._actions = take(state["actions"])
+        self._rewards = take(state["rewards"])
+        self._dones = take(state["dones"])
 
 
 @dataclass

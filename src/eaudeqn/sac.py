@@ -8,9 +8,10 @@ change of variables, computed with the stable identity
 log(1 - tanh(u)^2) = 2 * (log 2 - u - softplus(-2u)).
 
 Critics are two independent populations of K members; each member carries
-its own Polyak-averaged target. Member cumulated losses are exponential
-moving averages here (rate tau), not sums. Only critics are ever pruned;
-the actor stays dense.
+its own Polyak-averaged target, stacked with the rest of its population so
+one critic update covers all K members of a side. Member cumulated losses
+are exponential moving averages here (rate tau), not sums. Only critics are
+ever pruned; the actor stays dense.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .nncore import (
 from .population import (
     Member,
     Population,
+    check_finite_loss,
     exploitation,
     exploration,
     sample_behavior_index,
@@ -170,7 +172,7 @@ def sac_critic_targets(
     next_actions, log_prob = sample_action(policy, batch.next_states, noise)
     q_values = []
     for side in twin.sides:
-        champion = side.members[side.champion_index]
+        champion = side.member(side.champion_index)
         q_values.append(critic_value(champion, batch.next_states, next_actions, use_target=True))
     q_min = np.minimum(q_values[0], q_values[1])
     return batch.rewards + gamma * (1.0 - batch.dones) * (q_min - twin.alpha * log_prob)
@@ -194,13 +196,11 @@ def ema_loss_update(loss_ema: float, batch_loss: float, tau: float) -> float:
 
 def train_critic_member(member: Member, inputs: np.ndarray, targets: np.ndarray, tau: float) -> tuple[Member, float]:
     """One masked TD step on a scalar-output critic, its soft-target update,
-    and the EMA loss bookkeeping."""
+    and the EMA loss bookkeeping. Takes one member or a side's stack (one step
+    for every row, with a (K,) loss)."""
     zeros = np.zeros(inputs.shape[0], dtype=np.int64)
     loss, grad = td_loss_and_grad(member.params, member.mask, inputs, zeros, targets)
-    if not np.isfinite(loss):
-        from .errors import NonFiniteError
-
-        raise NonFiniteError(f"non-finite critic loss on lineage {member.lineage_id}")
+    check_finite_loss(loss, member, "critic loss")
     new_params, new_opt = adam_step(member.params, grad, member.optimizer)
     new_params = apply_mask(new_params, member.mask)
     new_target = soft_update(member.target_params, new_params, tau)
@@ -285,11 +285,9 @@ def sac_actor_update(
     distribution; the reparameterization noise comes from the same stream.
     Critics are untouched.
     """
-    behavior = tuple(
-        sample_behavior_index([m.cumulated_loss for m in side.members], rng) for side in twin.sides
-    )
-    critic_a = twin.sides[0].members[behavior[0]]
-    critic_b = twin.sides[1].members[behavior[1]]
+    behavior = tuple(sample_behavior_index(side.losses(), rng) for side in twin.sides)
+    critic_a = twin.sides[0].member(behavior[0])
+    critic_b = twin.sides[1].member(behavior[1])
     noise = rng.normal(size=(batch.states.shape[0], policy.action_dim))
     _, grad = actor_objective_and_grad(policy, critic_a, critic_b, batch.states, alpha, noise)
     # ascent: descend on -J

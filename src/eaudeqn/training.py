@@ -2,9 +2,9 @@
 
 One run is driven by an ExperimentConfig and a single 64-bit seed. Every
 consumer of randomness owns a named RngStream, so the trajectory is
-reproducible bit-for-bit, member updates can fan out over threads without
-changing results, and a run resumed from a checkpoint continues exactly
-where the uninterrupted run would have been.
+reproducible bit-for-bit, a population's stacked update can fan out over
+threads in row chunks without changing results, and a run resumed from a
+checkpoint continues exactly where the uninterrupted run would have been.
 
 Event ordering per environment step (value-based): interact, then one shared
 gradient pass every gradient_period steps once the warmup is filled, then
@@ -21,6 +21,7 @@ import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,14 +32,17 @@ from .errors import ConfigError, NonFiniteError
 from .nncore import init_adam_state, init_network, mlp_layer_specs
 from .population import (
     Population,
+    concat_stacks,
     exploitation,
     exploration,
     fresh_member,
     member_digest,
     sample_behavior_index,
     select_target,
+    split_stack,
+    stack_members,
 )
-from .pruning import Mask
+from .pruning import Mask, mask_of_ones
 from .replay import ReplayBuffer
 from .rng import RngStream
 from .sac import (
@@ -167,7 +171,7 @@ def init_state(config: ExperimentConfig) -> TrainState:
         )
         policy = GaussianPolicy(
             params=actor_params,
-            mask=_ones_mask(actor_params),
+            mask=mask_of_ones(actor_params),
             optimizer=init_adam_state(actor_params, config.learning_rate, config.adam_epsilon),
             action_dim=env.spec.action_space.dimension,
             action_low=env.spec.action_space.low,
@@ -182,11 +186,17 @@ def init_state(config: ExperimentConfig) -> TrainState:
                     mlp_layer_specs(widths["critic"]),
                     RngStream(config.seed, f"critic/{i}/member/{j}/init"),
                 )
-                opt = init_adam_state(params, config.learning_rate, config.adam_epsilon)
-                members.append(fresh_member(params, opt, lineage_id=j, with_target=True))
-            sides.append(
-                Population(members, None, None, champion_index=0, next_lineage_id=k)
-            )
+                if j == 0:  # stacking copies it into every row
+                    opt = init_adam_state(params, config.learning_rate, config.adam_epsilon)
+                members.append(fresh_member(params, opt, lineage_id=j))
+            side = Population(members, None, None, champion_index=0, next_lineage_id=k)
+            # Soft targets start as copies of the stacked critics. Built here
+            # instead of per member, the set-up's transient copies stay small
+            # enough to reuse freed memory (per-member targets and optimizers
+            # cost ~140 fresh pages, about 1 ms, per call on pendulum).
+            stack = side.stack
+            side.stack = replace(stack, target_params=stack.params.copy(), target_mask=stack.mask.copy())
+            sides.append(side)
         twin = TwinCriticPopulation(
             sides=(sides[0], sides[1]),
             tau=config.tau,
@@ -232,12 +242,6 @@ def init_state(config: ExperimentConfig) -> TrainState:
     )
 
 
-def _ones_mask(params):
-    from .pruning import mask_of_ones
-
-    return mask_of_ones(params)
-
-
 def evaluate_policy(agent, env, episodes: int, rng: RngStream) -> float:
     """Mean raw (undiscounted) return over greedy or mean-action rollouts."""
     if episodes < 1:
@@ -273,9 +277,13 @@ def run_training(
 
     `clock` supplies the wallclock_s column (default: time.perf_counter);
     tests inject a deterministic clock so CSV comparisons are byte-exact.
-    On a non-finite loss the run raises NumericAbortError carrying the state.
+    `threads` > 1 runs each population update as up to that many row chunks
+    on a thread pool; the results are the same bits. On a non-finite loss the
+    run raises NumericAbortError carrying the state.
     """
     validate_config(config)
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     if resume is not None:
         if config_digest(resume.config) != config_digest(config):
             from .errors import CheckpointError
@@ -295,11 +303,12 @@ def run_training(
     clock = clock if clock is not None else time.perf_counter
     t0 = clock()
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    train = partial(_train_stacks, pool=pool, threads=threads)
     try:
         if config.is_sac:
-            _run_sac(config, state, log, stop, pool, clock, t0)
+            _run_sac(config, state, log, stop, train, clock, t0)
         else:
-            _run_value_based(config, state, log, stop, pool, clock, t0)
+            _run_value_based(config, state, log, stop, train, clock, t0)
     except NonFiniteError as err:
         raise NumericAbortError(err, state, log) from err
     finally:
@@ -308,15 +317,21 @@ def run_training(
     return log, state
 
 
-def _update_all(members, update_fn, pool):
-    """Apply an independent per-member update, optionally across threads.
+def _train_stacks(populations, step, *, pool, threads: int) -> None:
+    """Replace each population's stack with step(stack), one stacked pass each.
 
-    Results are committed in member order, so scheduling cannot change the
-    outcome; members never share mutable state or random streams.
+    With a pool, each stack is cut into up to `threads` contiguous row chunks
+    that run concurrently through the same step and are joined in row order.
+    Rows never interact and share no random streams, so the result does not
+    depend on the chunking or the scheduling.
     """
     if pool is None:
-        return [update_fn(m) for m in members]
-    return list(pool.map(update_fn, members))
+        for pop in populations:
+            pop.stack = step(pop.stack)
+        return
+    pending = [[pool.submit(step, chunk) for chunk in split_stack(pop.stack, threads)] for pop in populations]
+    for pop, futures in zip(populations, pending):
+        pop.stack = concat_stacks([f.result() for f in futures])
 
 
 # ----------------------------------------------------------------------------
@@ -324,7 +339,7 @@ def _update_all(members, update_fn, pool):
 # ----------------------------------------------------------------------------
 
 
-def _run_value_based(config, state, log, stop, pool, clock, t0):
+def _run_value_based(config, state, log, stop, train, clock, t0):
     env = make_env(config.env)
     streams = state.streams
     pop = state.population
@@ -342,7 +357,7 @@ def _run_value_based(config, state, log, stop, pool, clock, t0):
             bidx = 0
         state.logged_behavior = bidx
         eps = epsilon_at(t, config.epsilon_start, config.epsilon_end, config.epsilon_decay_steps)
-        action = act_epsilon_greedy(pop.members[bidx], state.obs, eps, streams["explore"])
+        action = act_epsilon_greedy(pop.network(bidx), state.obs, eps, streams["explore"])
         next_state, reward, done = env.step(state.env_state, action, streams["env"])
         next_obs = env.observe(next_state)
         state.buffer.push(Transition(state.obs, action, reward, next_obs, done))
@@ -358,19 +373,20 @@ def _run_value_based(config, state, log, stop, pool, clock, t0):
             state.env_state = next_state
             state.obs = next_obs
 
-        # shared-target gradient pass over all members
+        # shared-target gradient pass over the stacked members
         if t > config.warmup and t % config.gradient_period == 0:
             batch = state.buffer.sample_batch(config.batch_size, streams["replay"])
             targets = td_targets(pop.target_params, pop.target_mask, batch, config.discount)
-            pop.members = [m for m, _ in _update_all(pop.members, lambda m: train_member(m, batch, targets), pool)]
+            train([pop], lambda s: train_member(s, batch, targets)[0])
 
         event = False
         # target-update block
         if t % config.target_period == 0:
             event = True
             psi = select_target(pop.losses()) if is_eaude else 0
-            pop.target_params = pop.members[psi].params.copy()
-            pop.target_mask = pop.members[psi].mask.copy()
+            champion = pop.member(psi)
+            pop.target_params = champion.params.copy()
+            pop.target_mask = champion.mask.copy()
             state.logged_champion = psi
             log.events.append(
                 {
@@ -385,7 +401,7 @@ def _run_value_based(config, state, log, stop, pool, clock, t0):
             if is_eaude:
                 selection = exploitation(pop.losses(), psi, config.eaude, streams["selection"])
                 log.events.append({"step": t, "kind": "exploitation", "selection": selection})
-                pre_digest = member_digest(pop.members[psi])
+                pre_digest = member_digest(pop.member(psi))
                 t_next = min(t + config.target_period, config.eaude.t_final)
                 pop, records = exploration(pop, selection, t, t_next, config.eaude, streams["selection"])
                 pop.champion_index = 0  # the champion occupies slot 0 after the event
@@ -396,12 +412,12 @@ def _run_value_based(config, state, log, stop, pool, clock, t0):
                         "kind": "exploration",
                         "records": [asdict(r) for r in records],
                         "champion_digest_pre": pre_digest,
-                        "slot0_digest_post": member_digest(pop.members[0]),
+                        "slot0_digest_post": member_digest(pop.member(0)),
                     }
                 )
             else:
                 # monitoring losses mirror the population reset for comparability
-                pop.members = [replace(m, cumulated_loss=0.0) for m in pop.members]
+                pop.stack = replace(pop.stack, cumulated_loss=np.zeros(pop.k))
             log.events.append({"step": t, "kind": "loss_reset"})
 
         # period-triggered pruning; fires after any coinciding target copy so
@@ -412,16 +428,15 @@ def _run_value_based(config, state, log, stop, pool, clock, t0):
             _prune_online(pop, pp, t, log)
 
         if t % config.eval_period == 0:
-            champion_member = pop.members[pop.champion_index]
-            state.last_eval = evaluate_policy(champion_member, env, config.eval_episodes, streams["eval"])
+            state.last_eval = evaluate_policy(pop.member(pop.champion_index), env, config.eval_episodes, streams["eval"])
 
         if t % config.log_period == 0 or event:
             _append_value_record(log, state, pop, clock() - t0)
 
 
 def _prune_online(pop: Population, pp, t: int, log: RunLog) -> None:
-    member = distillqn_update(pop.members[0], pp, t)
-    pop.members[0] = member
+    member = distillqn_update(pop.member(0), pp, t)
+    pop.stack = stack_members([member, *pop.members[1:]])
     log.events.append(
         {
             "step": t,
@@ -442,8 +457,8 @@ def _append_value_record(log: RunLog, state: TrainState, pop: Population, wallcl
             eval_return=state.last_eval,
             champions=(state.logged_champion,),
             behaviors=(state.logged_behavior,),
-            sparsities=(tuple(m.sparsity for m in pop.members),),
-            losses=(tuple(m.cumulated_loss for m in pop.members),),
+            sparsities=(tuple(pop.stack.sparsity.tolist()),),
+            losses=(tuple(pop.losses()),),
         )
     )
 
@@ -453,7 +468,7 @@ def _append_value_record(log: RunLog, state: TrainState, pop: Population, wallcl
 # ----------------------------------------------------------------------------
 
 
-def _run_sac(config, state, log, stop, pool, clock, t0):
+def _run_sac(config, state, log, stop, train, clock, t0):
     env = make_env(config.env)
     streams = state.streams
     is_eaude = config.eaude is not None
@@ -486,15 +501,7 @@ def _run_sac(config, state, log, stop, pool, clock, t0):
                 batch = state.buffer.sample_batch(config.batch_size, streams["replay"])
                 targets = sac_critic_targets(state.twin, state.policy, batch, config.discount, streams["target"])
                 inputs = critic_inputs(batch.states, batch.actions)
-                for side in state.twin.sides:
-                    side.members = [
-                        m
-                        for m, _ in _update_all(
-                            side.members,
-                            lambda m: train_critic_member(m, inputs, targets, config.tau),
-                            pool,
-                        )
-                    ]
+                train(state.twin.sides, lambda s: train_critic_member(s, inputs, targets, config.tau)[0])
                 for side in state.twin.sides:
                     side.champion_index = select_target(side.losses())
             state.policy, behaviors = sac_actor_update(
@@ -506,21 +513,22 @@ def _run_sac(config, state, log, stop, pool, clock, t0):
         if pp is not None and t % pp.pruning_period == 0:
             event = True
             for i, side in enumerate(state.twin.sides):
-                side.members = [polyprune_critic_member(m, pp, t) for m in side.members]
+                side.stack = stack_members([polyprune_critic_member(m, pp, t) for m in side.members])
+                first = side.member(0)
                 log.events.append(
                     {
                         "step": t,
                         "kind": "prune",
                         "critic": i,
-                        "target": side.members[0].mask_target,
-                        "realized": side.members[0].sparsity,
-                        "mask_digest": mask_digest(side.members[0].mask),
+                        "target": first.mask_target,
+                        "realized": first.sparsity,
+                        "mask_digest": mask_digest(first.mask),
                     }
                 )
         if is_eaude and t % config.prune_period == 0:
             event = True
             pre_digests = [
-                member_digest(side.members[select_target(side.losses())]) for side in state.twin.sides
+                member_digest(side.member(select_target(side.losses()))) for side in state.twin.sides
             ]
             t_next = min(t + config.prune_period, config.eaude.t_final)
             state.twin, records = eaudesac_prune_event(
@@ -535,9 +543,7 @@ def _run_sac(config, state, log, stop, pool, clock, t0):
                         "selection": record.selection,
                         "records": [asdict(r) for r in record.exploration],
                         "champion_digest_pre": pre,
-                        "slot0_digest_post": member_digest(
-                            state.twin.sides[record.critic].members[0]
-                        ),
+                        "slot0_digest_post": member_digest(state.twin.sides[record.critic].member(0)),
                     }
                 )
 
@@ -558,7 +564,7 @@ def _append_sac_record(log: RunLog, state: TrainState, wallclock: float) -> None
             eval_return=state.last_eval,
             champions=(sides[0].champion_index, sides[1].champion_index),
             behaviors=tuple(state.logged_behaviors),
-            sparsities=tuple(tuple(m.sparsity for m in side.members) for side in sides),
-            losses=tuple(tuple(m.cumulated_loss for m in side.members) for side in sides),
+            sparsities=tuple(tuple(side.stack.sparsity.tolist()) for side in sides),
+            losses=tuple(tuple(side.losses()) for side in sides),
         )
     )

@@ -128,3 +128,13 @@ class TestStateRoundTrip:
         payload["config_text"] = payload["config_text"].replace("seed = 5", "seed = 6")
         with pytest.raises(CheckpointError):
             payload_to_state(payload)
+
+    def test_in_memory_restore_does_not_share_the_buffer(self):
+        cfg = chain_config(total=600)
+        _, state = run_training(cfg, until_step=300, clock=FIXED_CLOCK)
+        before = encode_payload(state_to_payload(state))
+        restored = payload_to_state(state_to_payload(state))
+        for name in ("_states", "_next_states", "_actions", "_rewards", "_dones"):
+            assert not np.shares_memory(getattr(restored.buffer, name), getattr(state.buffer, name))
+        run_training(cfg, resume=restored, clock=FIXED_CLOCK)  # pushes into the restored rings
+        assert encode_payload(state_to_payload(state)) == before

@@ -56,6 +56,12 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_zero_threads_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "absent.txt")]) == 2
         assert "config error" in capsys.readouterr().err

@@ -90,6 +90,22 @@ class TestEpsilonGreedy:
         member = fresh_member(net, init_adam_state(net, 1e-3, 1e-8), lineage_id=0)
         assert act_epsilon_greedy(member, np.array([1.0]), 0.0, RngStream(0, "explore")) == 1
 
+    # Sequences and the stream's next draw recorded with the forward-first
+    # implementation: flipping the coin first must not change either.
+    PINNED = {
+        0.0: ([2, 0, 0, 2, 2, 2, 2, 1, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 2, 1, 0, 0, 0, 2], 0.3690455012781332),
+        0.5: ([1, 1, 0, 0, 2, 2, 0, 1, 2, 2, 0, 2, 1, 2, 0, 2, 2, 0, 2, 1, 0, 0, 0, 2], 0.08004713547974651),
+        1.0: ([1, 1, 0, 0, 2, 2, 0, 1, 0, 2, 0, 0, 2, 2, 2, 1, 0, 1, 1, 2, 0, 0, 2, 1], 0.4703897232602744),
+    }
+
+    def test_action_sequence_and_draws_are_pinned(self):
+        member = make_member(widths=(4, 8, 3))
+        states = RngStream(1, "states").normal(size=(24, 4))
+        for eps, (actions, next_draw) in self.PINNED.items():
+            rng = RngStream(2, "explore")
+            assert [act_epsilon_greedy(member, s, eps, rng) for s in states] == actions, eps
+            assert rng.uniform() == next_draw, eps
+
     def test_epsilon_one_is_uniform(self):
         net = constant_q_net([0.1, 0.9, -0.3])
         member = fresh_member(net, init_adam_state(net, 1e-3, 1e-8), lineage_id=0)

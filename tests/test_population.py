@@ -13,6 +13,7 @@ from eaudeqn.population import (
     member_gradient_step,
     sample_behavior_index,
     select_target,
+    stack_members,
 )
 from eaudeqn.pruning import EauDeConfig, masks_equal, sparsity_of
 from eaudeqn.rng import RngStream
@@ -132,8 +133,7 @@ class ZeroUniformRng(RngStream):
 class TestExploration:
     def test_distinct_selection_only_resets_losses(self):
         pop = make_population(5)
-        for m in pop.members:
-            m.cumulated_loss = 1.0
+        pop.stack.cumulated_loss[:] = 1.0
         new_pop, records = exploration(pop, [0, 1, 2, 3, 4], 100, 200, CFG, RngStream(0, "sel"))
         assert all(not r.duplicated for r in records)
         for old, new in zip(pop.members, new_pop.members):
@@ -161,7 +161,7 @@ class TestExploration:
         # give the champion some optimizer history
         x = RngStream(2, "x").normal(size=(3, 4))
         member, _ = member_gradient_step(pop.members[0], x, [0, 1, 0], [0.5, -0.5, 1.0])
-        pop.members[0] = member
+        pop.stack = stack_members([member, *pop.members[1:]])
         cfg = EauDeConfig(u_max=3.0, s_max=0.01, population_size=2, tournament_size=1, t_final=1000)
         new_pop, records = exploration(pop, [0, 0], 10, 20, cfg, ZeroUniformRng())
         duplicate = new_pop.members[1]

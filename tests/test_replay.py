@@ -74,6 +74,20 @@ class TestSampling:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.actions, b.actions)
 
+    def test_batch_follows_snapshot_order_before_and_after_wrap(self):
+        buf = make_buffer(7)
+        for pushes in (5, 19):  # 5 fills part of the ring, 19 wraps it twice
+            while buf.insert_count < pushes:
+                buf.push(tr(buf.insert_count))
+            batch = buf.sample_batch(40, RngStream(4, "replay"))
+            idx = RngStream(4, "replay").integers(0, buf.size, size=40)
+            ordered = buf.snapshot()
+            assert np.array_equal(batch.rewards, [ordered[i].reward for i in idx])
+            assert np.array_equal(batch.states, [ordered[i].state for i in idx])
+            assert np.array_equal(batch.next_states, [ordered[i].next_state for i in idx])
+            assert np.array_equal(batch.actions, [ordered[i].action for i in idx])
+            assert np.array_equal(batch.dones, [float(ordered[i].done) for i in idx])
+
     def test_uniform_frequencies(self):
         buf = make_buffer(4)
         for tag in range(4):

@@ -241,8 +241,7 @@ class TestActorGradient:
             policy = make_policy(seed=10)
             twin = make_twin(k=3)
             for side in twin.sides:
-                for j, m in enumerate(side.members):
-                    m.cumulated_loss = 0.1 * (j + 1)
+                side.stack.cumulated_loss[:] = [0.1 * (j + 1) for j in range(side.k)]
             new_policy, behavior = sac_actor_update(policy, twin, batch, 0.2, RngStream(11, "actor"))
             results.append((new_policy, behavior))
         assert results[0][1] == results[1][1]
@@ -284,7 +283,7 @@ class TestPruneEvent:
     def test_population_of_one_only_resets(self):
         twin = make_twin(k=1)
         for side in twin.sides:
-            side.members[0].cumulated_loss = 0.7
+            side.stack.cumulated_loss[0] = 0.7
         new_twin, records = eaudesac_prune_event(twin, 100, 200, self.CFG, RngStream(0, "sel"))
         for side, old_side in zip(new_twin.sides, twin.sides):
             assert side.members[0].cumulated_loss == 0.0
@@ -295,8 +294,7 @@ class TestPruneEvent:
         cfg = EauDeConfig(u_max=3.0, s_max=0.01, population_size=3, tournament_size=2, t_final=1000)
         twin = make_twin(k=3)
         for side in twin.sides:
-            for m in side.members:
-                m.cumulated_loss = 0.5
+            side.stack.cumulated_loss[:] = 0.5
         _, records = eaudesac_prune_event(twin, 100, 200, cfg, RngStream(1, "sel"))
         for r in records:
             assert r.selection[0] == 0
@@ -305,9 +303,7 @@ class TestPruneEvent:
         cfg = EauDeConfig(u_max=3.0, s_max=0.5, population_size=3, tournament_size=3, t_final=1000)
         twin = make_twin(k=3)
         for side in twin.sides:
-            side.members[0].cumulated_loss = 0.1
-            side.members[1].cumulated_loss = 0.2
-            side.members[2].cumulated_loss = 0.3
+            side.stack.cumulated_loss[:] = [0.1, 0.2, 0.3]
         new_twin, records = eaudesac_prune_event(twin, 100, 600, cfg, RngStream(2, "sel"))
         for record in records:
             for rec in record.exploration:

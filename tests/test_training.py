@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from eaudeqn.config import build_config
 from eaudeqn.envs import make_env
+from eaudeqn.errors import ConfigError
 from eaudeqn.nncore import LayerSpec, NetworkParams, init_adam_state
 from eaudeqn.population import fresh_member
 from eaudeqn.training import NumericAbortError, evaluate_policy, run_training
@@ -132,6 +135,22 @@ class TestLogging:
         a, _ = run_training(chain_config("eaude_dqn", total=800), threads=1, clock=FIXED_CLOCK)
         b, _ = run_training(chain_config("eaude_dqn", total=800), threads=4, clock=FIXED_CLOCK)
         assert a.to_csv() == b.to_csv()
+
+    def test_threads_do_not_change_eaude_sac_outputs(self):
+        cfg = build_config(
+            {"algorithm": "eaude_sac", "env": "pendulum", "seed": 3, "run.total_steps": 500,
+             "replay.warmup": 200, "sac.prune_period": 100, "eaude.s_max": 0.2, "eaude.u_max": 30.0}
+        )
+        runs = [run_training(cfg, threads=n, clock=FIXED_CLOCK)[0] for n in (1, 2)]
+        events = ["".join(json.dumps(e, sort_keys=True) + "\n" for e in log.events) for log in runs]
+        assert any(r["duplicated"] for e in runs[0].events if e["kind"] == "sac_prune" for r in e["records"])
+        assert runs[0].to_csv() == runs[1].to_csv()
+        assert events[0] == events[1]
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_is_rejected(self, threads):
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            run_training(chain_config(total=600), threads=threads)
 
 
 class TestNumericAbort:
