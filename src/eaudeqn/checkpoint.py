@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .config import build_config, canonical_text, config_digest, parse_config_text
-from .errors import CheckpointError, DataFormatError
+from .errors import CheckpointError, ConfigError, DataFormatError
 from .nncore import AdamState, LayerSpec, NetworkParams
 from .population import Member, Population
 from .pruning import Mask
@@ -343,9 +343,13 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
     config = build_config(parse_config_text(payload["config_text"]))
     if config_digest(config) != payload["config_digest"]:
         raise CheckpointError("checkpoint config text does not match its stored digest")
-    env = make_env(config.env)
-    buffer = ReplayBuffer(config.buffer_capacity, env.spec.observation_width, env.spec.action_space)
-    buffer.load_state_dict(payload["buffer"], copy=not adopt_buffer)
+    spec = make_env(config.env).spec
+    try:
+        buffer = ReplayBuffer.from_state_dict(
+            payload["buffer"], config.buffer_capacity, spec.observation_width, spec.action_space, copy=not adopt_buffer
+        )
+    except ConfigError as err:
+        raise CheckpointError(f"checkpoint replay buffer does not fit this config: {err}") from err
     streams = {}
     for label, bitgen_state in payload["streams"].items():
         stream = RngStream(config.seed, label)

@@ -269,6 +269,8 @@ def validate_config(config: ExperimentConfig) -> None:
             config.polyprune.validate()
         except ConfigError as err:
             problems.append(str(err))
+        if config.is_sac and config.polyprune.sync_to_target_updates:
+            problems.append(f"{config.algorithm} has no target updates to sync pruning to")
     if config.eaude is not None:
         try:
             config.eaude.validate()

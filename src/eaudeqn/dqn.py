@@ -1,5 +1,6 @@
 """Value-based operations: shared TD targets, member updates, action choice,
-and the scheduled pruning step shared by the DistillQN/PolyPruneQN paths.
+and the scheduled pruning step that every PolyPrune path (DistillQN,
+PolyPruneQN, PolyPrune-SAC) applies to its members.
 """
 
 from __future__ import annotations
@@ -57,12 +58,16 @@ def distillqn_update(member: Member, schedule: PolyPruneConfig, t: int) -> Membe
     """Prune the online network to the scheduled sparsity at a pruning event.
 
     The mask is recomputed from current weight magnitudes and the masked
-    weights zeroed; the optimizer is intentionally left intact (only
-    population duplicates get optimizer resets).
+    weights zeroed; a member's soft target (actor-critic path) is zeroed under
+    the same mask, so pruned weights cannot leak back through it. The
+    optimizer is intentionally left intact (only population duplicates get
+    optimizer resets).
     """
     target = poly_schedule(t, schedule)
     mask = magnitude_mask(member.params, target)
     params = apply_mask(member.params, mask)
+    if member.target_params is not None:
+        member = replace(member, target_params=apply_mask(member.target_params, mask), target_mask=mask.copy())
     return replace(
         member,
         params=params,

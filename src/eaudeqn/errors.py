@@ -20,14 +20,12 @@ class ScheduleExhaustedError(RuntimeError):
 class DataFormatError(ValueError):
     """A serialized file failed to parse.
 
-    byte_offset points at the position where decoding stopped; record_index
-    is set when a specific record is malformed.
+    byte_offset points at the position where decoding stopped.
     """
 
-    def __init__(self, message, byte_offset=None, record_index=None):
+    def __init__(self, message, byte_offset=None):
         super().__init__(message)
         self.byte_offset = byte_offset
-        self.record_index = record_index
 
 
 class CheckpointError(ValueError):

@@ -95,9 +95,6 @@ class NetworkParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def weight_count(self) -> int:
-        return sum(w.size for w in self.weights)
-
     def all_finite(self) -> bool:
         return all(np.isfinite(w).all() for w in self.weights) and all(
             np.isfinite(b).all() for b in self.biases

@@ -210,6 +210,10 @@ class Population:
         """Row k's params and mask as views, without the rest of the member."""
         return Network(self.stack.params.row(k), self.stack.mask.row(k))
 
+    def target_network(self, k: int) -> Network:
+        """Row k's soft target and its mask (actor-critic path), as views."""
+        return Network(self.stack.target_params.row(k), self.stack.target_mask.row(k))
+
     def losses(self) -> list[float]:
         return self.stack.cumulated_loss.tolist()
 

@@ -32,6 +32,7 @@ from .nncore import (
 )
 from .population import (
     Member,
+    Network,
     Population,
     check_finite_loss,
     exploitation,
@@ -153,10 +154,8 @@ def critic_inputs(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
 
 
-def critic_value(member: Member, states, actions, use_target: bool = False) -> np.ndarray:
-    params = member.target_params if use_target else member.params
-    mask = member.target_mask if use_target else member.mask
-    out = forward(params, mask, critic_inputs(states, actions))
+def critic_value(critic: Member | Network, states, actions) -> np.ndarray:
+    out = forward(critic.params, critic.mask, critic_inputs(states, actions))
     return out[:, 0]
 
 
@@ -172,8 +171,8 @@ def sac_critic_targets(
     next_actions, log_prob = sample_action(policy, batch.next_states, noise)
     q_values = []
     for side in twin.sides:
-        champion = side.member(side.champion_index)
-        q_values.append(critic_value(champion, batch.next_states, next_actions, use_target=True))
+        champion = side.target_network(side.champion_index)
+        q_values.append(critic_value(champion, batch.next_states, next_actions))
     q_min = np.minimum(q_values[0], q_values[1])
     return batch.rewards + gamma * (1.0 - batch.dones) * (q_min - twin.alpha * log_prob)
 
@@ -216,8 +215,8 @@ def train_critic_member(member: Member, inputs: np.ndarray, targets: np.ndarray,
 
 def actor_objective_and_grad(
     policy: GaussianPolicy,
-    critic_a: Member,
-    critic_b: Member,
+    critic_a: Member | Network,
+    critic_b: Member | Network,
     states: np.ndarray,
     alpha: float,
     noise: np.ndarray,
@@ -286,38 +285,14 @@ def sac_actor_update(
     Critics are untouched.
     """
     behavior = tuple(sample_behavior_index(side.losses(), rng) for side in twin.sides)
-    critic_a = twin.sides[0].member(behavior[0])
-    critic_b = twin.sides[1].member(behavior[1])
+    critic_a = twin.sides[0].network(behavior[0])
+    critic_b = twin.sides[1].network(behavior[1])
     noise = rng.normal(size=(batch.states.shape[0], policy.action_dim))
     _, grad = actor_objective_and_grad(policy, critic_a, critic_b, batch.states, alpha, noise)
     # ascent: descend on -J
     neg = NetworkParams([-w for w in grad.weights], [-b for b in grad.biases], grad.layer_specs)
     new_params, new_opt = adam_step(policy.params, neg, policy.optimizer)
     return replace(policy, params=new_params, optimizer=new_opt), behavior
-
-
-def polyprune_critic_member(member: Member, schedule, t: int) -> Member:
-    """Scheduled magnitude pruning of one critic and its soft target.
-
-    The mask is recomputed from current online magnitudes; both the online
-    weights and the Polyak target are zeroed under the new mask so pruned
-    weights cannot leak back through the target. No optimizer reset.
-    """
-    from .pruning import magnitude_mask, poly_schedule, sparsity_of
-
-    target = poly_schedule(t, schedule)
-    mask = magnitude_mask(member.params, target)
-    params = apply_mask(member.params, mask)
-    target_params = apply_mask(member.target_params, mask)
-    return replace(
-        member,
-        params=params,
-        mask=mask,
-        sparsity=sparsity_of(mask),
-        mask_target=target,
-        target_params=target_params,
-        target_mask=mask.copy(),
-    )
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Experiment orchestration: the training loops, logging, and resumable state.
+"""Experiment orchestration: the step frame, logging, and resumable state.
 
 One run is driven by an ExperimentConfig and a single 64-bit seed. Every
 consumer of randomness owns a named RngStream, so the trajectory is
@@ -6,19 +6,23 @@ reproducible bit-for-bit, a population's stacked update can fan out over
 threads in row chunks without changing results, and a run resumed from a
 checkpoint continues exactly where the uninterrupted run would have been.
 
-Event ordering per environment step (value-based): interact, then one shared
-gradient pass every gradient_period steps once the warmup is filled, then
-scheduled pruning (period-triggered path), then the target-update block
-(target selection, then exploitation, then exploration, then loss resets),
-then evaluation, then logging. The actor-critic loop follows the same frame
-with UTD critic passes plus one actor update per step and prune events every
-prune_period steps.
+All six algorithms run through one step frame (_run). Per environment step:
+act, env step, replay push and episode bookkeeping; once the warmup is
+filled, the family's learning; the family's selection events; scheduled
+(PolyPrune) pruning; evaluation; logging. A family supplies act, learn,
+events, the greedy agent for evaluation, and what is logged. Value-based
+(_ValueBased): one shared-target pass every gradient_period steps, and every
+target_period steps the target-update event (target selection, then
+exploitation, then exploration, then loss resets). Actor-critic
+(_ActorCritic): UTD critic passes plus one actor update per step, and an
+EauDe prune event every prune_period steps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -28,7 +32,7 @@ import numpy as np
 from .config import ExperimentConfig, config_digest, network_widths, validate_config
 from .dqn import act_epsilon_greedy, distillqn_update, epsilon_at, td_targets, train_member
 from .envs import Transition, make_env
-from .errors import ConfigError, NonFiniteError
+from .errors import CheckpointError, ConfigError, NonFiniteError
 from .nncore import init_adam_state, init_network, mlp_layer_specs
 from .population import (
     Population,
@@ -52,7 +56,6 @@ from .sac import (
     draw_action,
     eaudesac_prune_event,
     mean_action,
-    polyprune_critic_member,
     sac_actor_update,
     sac_critic_targets,
     train_critic_member,
@@ -286,8 +289,6 @@ def run_training(
         raise ConfigError(f"threads must be >= 1, got {threads}")
     if resume is not None:
         if config_digest(resume.config) != config_digest(config):
-            from .errors import CheckpointError
-
             raise CheckpointError("checkpoint config digest does not match this config")
         state = resume
     else:
@@ -301,14 +302,11 @@ def run_training(
         twin=config.is_sac,
     )
     clock = clock if clock is not None else time.perf_counter
-    t0 = clock()
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     train = partial(_train_stacks, pool=pool, threads=threads)
+    family = (_ActorCritic if config.is_sac else _ValueBased)(config, train)
     try:
-        if config.is_sac:
-            _run_sac(config, state, log, stop, train, clock, t0)
-        else:
-            _run_value_based(config, state, log, stop, train, clock, t0)
+        _run(config, state, log, stop, family, clock)
     except NonFiniteError as err:
         raise NumericAbortError(err, state, log) from err
     finally:
@@ -334,152 +332,17 @@ def _train_stacks(populations, step, *, pool, threads: int) -> None:
         pop.stack = concat_stacks([f.result() for f in futures])
 
 
-# ----------------------------------------------------------------------------
-# value-based loop (dqn, polyprune_dqn, eaude_dqn)
-# ----------------------------------------------------------------------------
-
-
-def _run_value_based(config, state, log, stop, train, clock, t0):
+def _run(config, state: TrainState, log: RunLog, stop: int, family, clock) -> None:
+    """The step frame shared by all six algorithms; `family` supplies the rest."""
     env = make_env(config.env)
     streams = state.streams
-    pop = state.population
-    is_eaude = config.eaude is not None
     pp = config.polyprune
-
+    t0 = clock()
     while state.step < stop:
         t = state.step + 1
         state.step = t
 
-        # interact
-        if is_eaude:
-            bidx = sample_behavior_index(pop.losses(), streams["behavior"])
-        else:
-            bidx = 0
-        state.logged_behavior = bidx
-        eps = epsilon_at(t, config.epsilon_start, config.epsilon_end, config.epsilon_decay_steps)
-        action = act_epsilon_greedy(pop.network(bidx), state.obs, eps, streams["explore"])
-        next_state, reward, done = env.step(state.env_state, action, streams["env"])
-        next_obs = env.observe(next_state)
-        state.buffer.push(Transition(state.obs, action, reward, next_obs, done))
-        state.episode_return += reward
-        state.episode_len += 1
-        if done or state.episode_len >= env.spec.horizon:
-            state.last_episode_return = state.episode_return
-            state.episode_return = 0.0
-            state.episode_len = 0
-            state.env_state = env.reset(streams["env"])
-            state.obs = env.observe(state.env_state)
-        else:
-            state.env_state = next_state
-            state.obs = next_obs
-
-        # shared-target gradient pass over the stacked members
-        if t > config.warmup and t % config.gradient_period == 0:
-            batch = state.buffer.sample_batch(config.batch_size, streams["replay"])
-            targets = td_targets(pop.target_params, pop.target_mask, batch, config.discount)
-            train([pop], lambda s: train_member(s, batch, targets)[0])
-
-        event = False
-        # target-update block
-        if t % config.target_period == 0:
-            event = True
-            psi = select_target(pop.losses()) if is_eaude else 0
-            champion = pop.member(psi)
-            pop.target_params = champion.params.copy()
-            pop.target_mask = champion.mask.copy()
-            state.logged_champion = psi
-            log.events.append(
-                {
-                    "step": t,
-                    "kind": "target_update",
-                    "champion": psi,
-                    "member_digests": [member_digest(m) for m in pop.members],
-                }
-            )
-            if pp is not None and pp.sync_to_target_updates:
-                _prune_online(pop, pp, t, log)
-            if is_eaude:
-                selection = exploitation(pop.losses(), psi, config.eaude, streams["selection"])
-                log.events.append({"step": t, "kind": "exploitation", "selection": selection})
-                pre_digest = member_digest(pop.member(psi))
-                t_next = min(t + config.target_period, config.eaude.t_final)
-                pop, records = exploration(pop, selection, t, t_next, config.eaude, streams["selection"])
-                pop.champion_index = 0  # the champion occupies slot 0 after the event
-                state.population = pop
-                log.events.append(
-                    {
-                        "step": t,
-                        "kind": "exploration",
-                        "records": [asdict(r) for r in records],
-                        "champion_digest_pre": pre_digest,
-                        "slot0_digest_post": member_digest(pop.member(0)),
-                    }
-                )
-            else:
-                # monitoring losses mirror the population reset for comparability
-                pop.stack = replace(pop.stack, cumulated_loss=np.zeros(pop.k))
-            log.events.append({"step": t, "kind": "loss_reset"})
-
-        # period-triggered pruning; fires after any coinciding target copy so
-        # that a period synchronized with the target period is the same
-        # algorithm as the target-synced path
-        if pp is not None and not pp.sync_to_target_updates and t % pp.pruning_period == 0:
-            event = True
-            _prune_online(pop, pp, t, log)
-
-        if t % config.eval_period == 0:
-            state.last_eval = evaluate_policy(pop.member(pop.champion_index), env, config.eval_episodes, streams["eval"])
-
-        if t % config.log_period == 0 or event:
-            _append_value_record(log, state, pop, clock() - t0)
-
-
-def _prune_online(pop: Population, pp, t: int, log: RunLog) -> None:
-    member = distillqn_update(pop.member(0), pp, t)
-    pop.stack = stack_members([member, *pop.members[1:]])
-    log.events.append(
-        {
-            "step": t,
-            "kind": "prune",
-            "target": member.mask_target,
-            "realized": member.sparsity,
-            "mask_digest": mask_digest(member.mask),
-        }
-    )
-
-
-def _append_value_record(log: RunLog, state: TrainState, pop: Population, wallclock: float) -> None:
-    log.records.append(
-        LogRecord(
-            step=state.step,
-            wallclock_s=wallclock,
-            episode_return=state.last_episode_return,
-            eval_return=state.last_eval,
-            champions=(state.logged_champion,),
-            behaviors=(state.logged_behavior,),
-            sparsities=(tuple(pop.stack.sparsity.tolist()),),
-            losses=(tuple(pop.losses()),),
-        )
-    )
-
-
-# ----------------------------------------------------------------------------
-# actor-critic loop (sac, polyprune_sac, eaude_sac)
-# ----------------------------------------------------------------------------
-
-
-def _run_sac(config, state, log, stop, train, clock, t0):
-    env = make_env(config.env)
-    streams = state.streams
-    is_eaude = config.eaude is not None
-    pp = config.polyprune
-
-    while state.step < stop:
-        t = state.step + 1
-        state.step = t
-
-        # interact with the stochastic policy
-        action, _ = draw_action(state.policy, state.obs, streams["policy"])
+        action = family.act(state, t)
         next_state, reward, done = env.step(state.env_state, action, streams["env"])
         next_obs = env.observe(next_state)
         state.buffer.push(Transition(state.obs, action, reward, next_obs, done))
@@ -496,75 +359,188 @@ def _run_sac(config, state, log, stop, train, clock, t0):
             state.obs = next_obs
 
         if t > config.warmup:
-            batch = None
-            for _ in range(config.utd):
-                batch = state.buffer.sample_batch(config.batch_size, streams["replay"])
-                targets = sac_critic_targets(state.twin, state.policy, batch, config.discount, streams["target"])
-                inputs = critic_inputs(batch.states, batch.actions)
-                train(state.twin.sides, lambda s: train_critic_member(s, inputs, targets, config.tau)[0])
-                for side in state.twin.sides:
-                    side.champion_index = select_target(side.losses())
-            state.policy, behaviors = sac_actor_update(
-                state.policy, state.twin, batch, config.alpha, streams["actor"]
-            )
-            state.logged_behaviors = behaviors
+            family.learn(state, t)
 
-        event = False
-        if pp is not None and t % pp.pruning_period == 0:
+        event = family.events(state, t, log)
+        # period-triggered pruning; fires after any coinciding target copy so
+        # that a period synchronized with the target period is the same
+        # algorithm as the target-synced path
+        if pp is not None and not pp.sync_to_target_updates and t % pp.pruning_period == 0:
             event = True
-            for i, side in enumerate(state.twin.sides):
-                side.stack = stack_members([polyprune_critic_member(m, pp, t) for m in side.members])
-                first = side.member(0)
-                log.events.append(
-                    {
-                        "step": t,
-                        "kind": "prune",
-                        "critic": i,
-                        "target": first.mask_target,
-                        "realized": first.sparsity,
-                        "mask_digest": mask_digest(first.mask),
-                    }
-                )
-        if is_eaude and t % config.prune_period == 0:
-            event = True
-            pre_digests = [
-                member_digest(side.member(select_target(side.losses()))) for side in state.twin.sides
-            ]
-            t_next = min(t + config.prune_period, config.eaude.t_final)
-            state.twin, records = eaudesac_prune_event(
-                state.twin, t, t_next, config.eaude, streams["selection"]
-            )
-            for record, pre in zip(records, pre_digests):
-                log.events.append(
-                    {
-                        "step": t,
-                        "kind": "sac_prune",
-                        "critic": record.critic,
-                        "selection": record.selection,
-                        "records": [asdict(r) for r in record.exploration],
-                        "champion_digest_pre": pre,
-                        "slot0_digest_post": member_digest(state.twin.sides[record.critic].member(0)),
-                    }
-                )
+            for i, side in enumerate(family.sides(state)):
+                _prune(side, pp, t, log, **({"critic": i} if config.is_sac else {}))
 
         if t % config.eval_period == 0:
-            state.last_eval = evaluate_policy(state.policy, env, config.eval_episodes, streams["eval"])
+            state.last_eval = evaluate_policy(family.greedy(state), env, config.eval_episodes, streams["eval"])
 
         if t % config.log_period == 0 or event:
-            _append_sac_record(log, state, clock() - t0)
+            champions, behaviors = family.logged(state)
+            sides = family.sides(state)
+            log.records.append(
+                LogRecord(
+                    step=t,
+                    wallclock_s=clock() - t0,
+                    episode_return=state.last_episode_return,
+                    eval_return=state.last_eval,
+                    champions=champions,
+                    behaviors=behaviors,
+                    sparsities=tuple(tuple(side.stack.sparsity.tolist()) for side in sides),
+                    losses=tuple(tuple(side.losses()) for side in sides),
+                )
+            )
 
 
-def _append_sac_record(log: RunLog, state: TrainState, wallclock: float) -> None:
-    sides = state.twin.sides
-    log.records.append(
-        LogRecord(
-            step=state.step,
-            wallclock_s=wallclock,
-            episode_return=state.last_episode_return,
-            eval_return=state.last_eval,
-            champions=(sides[0].champion_index, sides[1].champion_index),
-            behaviors=tuple(state.logged_behaviors),
-            sparsities=tuple(tuple(side.stack.sparsity.tolist()) for side in sides),
-            losses=tuple(tuple(side.losses()) for side in sides),
-        )
+def _prune(pop: Population, pp, t: int, log: RunLog, **tag) -> None:
+    """Scheduled magnitude pruning of every member (and its soft target)."""
+    pop.stack = stack_members([distillqn_update(m, pp, t) for m in pop.members])
+    stack = pop.stack
+    log.events.append(
+        {
+            "step": t,
+            "kind": "prune",
+            **tag,
+            "target": float(stack.mask_target[0]),
+            "realized": float(stack.sparsity[0]),
+            "mask_digest": mask_digest(stack.mask.row(0)),
+        }
     )
+
+
+@dataclass
+class _ValueBased:
+    """dqn, polyprune_dqn, eaude_dqn: epsilon-greedy acting, one shared-target
+    pass every gradient_period steps, and a target-update event every
+    target_period steps (target selection, then exploitation, exploration and
+    loss resets)."""
+
+    config: ExperimentConfig
+    train: Callable  # _train_stacks bound to the run's pool
+
+    def act(self, state: TrainState, t: int) -> int:
+        config, pop = self.config, state.population
+        if config.eaude is not None:
+            bidx = sample_behavior_index(pop.losses(), state.streams["behavior"])
+        else:
+            bidx = 0
+        state.logged_behavior = bidx
+        eps = epsilon_at(t, config.epsilon_start, config.epsilon_end, config.epsilon_decay_steps)
+        return act_epsilon_greedy(pop.network(bidx), state.obs, eps, state.streams["explore"])
+
+    def learn(self, state: TrainState, t: int) -> None:
+        config, pop = self.config, state.population
+        if t % config.gradient_period != 0:
+            return
+        batch = state.buffer.sample_batch(config.batch_size, state.streams["replay"])
+        targets = td_targets(pop.target_params, pop.target_mask, batch, config.discount)
+        self.train([pop], lambda s: train_member(s, batch, targets)[0])
+
+    def events(self, state: TrainState, t: int, log: RunLog) -> bool:
+        config, pop = self.config, state.population
+        if t % config.target_period != 0:
+            return False
+        is_eaude = config.eaude is not None
+        psi = select_target(pop.losses()) if is_eaude else 0
+        champion = pop.network(psi)
+        pop.target_params = champion.params.copy()
+        pop.target_mask = champion.mask.copy()
+        state.logged_champion = psi
+        log.events.append(
+            {
+                "step": t,
+                "kind": "target_update",
+                "champion": psi,
+                "member_digests": [member_digest(m) for m in pop.members],
+            }
+        )
+        pp = config.polyprune
+        if pp is not None and pp.sync_to_target_updates:
+            _prune(pop, pp, t, log)
+        if is_eaude:
+            selection = exploitation(pop.losses(), psi, config.eaude, state.streams["selection"])
+            log.events.append({"step": t, "kind": "exploitation", "selection": selection})
+            pre_digest = member_digest(pop.member(psi))
+            t_next = min(t + config.target_period, config.eaude.t_final)
+            pop, records = exploration(pop, selection, t, t_next, config.eaude, state.streams["selection"])
+            pop.champion_index = 0  # the champion occupies slot 0 after the event
+            state.population = pop
+            log.events.append(
+                {
+                    "step": t,
+                    "kind": "exploration",
+                    "records": [asdict(r) for r in records],
+                    "champion_digest_pre": pre_digest,
+                    "slot0_digest_post": member_digest(pop.member(0)),
+                }
+            )
+        else:
+            # monitoring losses mirror the population reset for comparability
+            pop.stack = replace(pop.stack, cumulated_loss=np.zeros(pop.k))
+        log.events.append({"step": t, "kind": "loss_reset"})
+        return True
+
+    def greedy(self, state: TrainState):
+        pop = state.population
+        return pop.network(pop.champion_index)
+
+    def sides(self, state: TrainState) -> tuple[Population, ...]:
+        return (state.population,)
+
+    def logged(self, state: TrainState) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return (state.logged_champion,), (state.logged_behavior,)
+
+
+@dataclass
+class _ActorCritic:
+    """sac, polyprune_sac, eaude_sac: stochastic-policy acting, utd critic
+    passes plus one actor update per step, and an EauDe prune event every
+    prune_period steps."""
+
+    config: ExperimentConfig
+    train: Callable  # _train_stacks bound to the run's pool
+
+    def act(self, state: TrainState, t: int) -> np.ndarray:
+        action, _ = draw_action(state.policy, state.obs, state.streams["policy"])
+        return action
+
+    def learn(self, state: TrainState, t: int) -> None:
+        config, twin, streams = self.config, state.twin, state.streams
+        for _ in range(config.utd):
+            batch = state.buffer.sample_batch(config.batch_size, streams["replay"])
+            targets = sac_critic_targets(twin, state.policy, batch, config.discount, streams["target"])
+            inputs = critic_inputs(batch.states, batch.actions)
+            self.train(twin.sides, lambda s: train_critic_member(s, inputs, targets, config.tau)[0])
+            for side in twin.sides:
+                side.champion_index = select_target(side.losses())
+        state.policy, state.logged_behaviors = sac_actor_update(
+            state.policy, twin, batch, config.alpha, streams["actor"]
+        )
+
+    def events(self, state: TrainState, t: int, log: RunLog) -> bool:
+        config = self.config
+        if config.eaude is None or t % config.prune_period != 0:
+            return False
+        pre_digests = [member_digest(side.member(select_target(side.losses()))) for side in state.twin.sides]
+        t_next = min(t + config.prune_period, config.eaude.t_final)
+        state.twin, records = eaudesac_prune_event(state.twin, t, t_next, config.eaude, state.streams["selection"])
+        for record, pre in zip(records, pre_digests):
+            log.events.append(
+                {
+                    "step": t,
+                    "kind": "sac_prune",
+                    "critic": record.critic,
+                    "selection": record.selection,
+                    "records": [asdict(r) for r in record.exploration],
+                    "champion_digest_pre": pre,
+                    "slot0_digest_post": member_digest(state.twin.sides[record.critic].member(0)),
+                }
+            )
+        return True
+
+    def greedy(self, state: TrainState):
+        return state.policy
+
+    def sides(self, state: TrainState) -> tuple[Population, ...]:
+        return state.twin.sides
+
+    def logged(self, state: TrainState) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(side.champion_index for side in state.twin.sides), tuple(state.logged_behaviors)

@@ -33,15 +33,25 @@ CONFIGS = {
 FILES = ("log.csv", "events.jsonl", "checkpoint.ckpt")
 
 
-def main(argv: list[str]) -> int:
-    out = Path(argv[0])
-    threads = int(argv[1]) if len(argv) > 1 else 1
+def digest_lines(out: Path, threads: int = 1) -> list[str]:
+    """Run every config into out/<algorithm> and return one line per file."""
+    lines = []
     for name, overrides in CONFIGS.items():
         config = build_config(dict(overrides, seed=7))
         log, state = run_training(config, threads=threads, clock=lambda: 0.0)
         _write_outputs(out / name, config, log, state)
         for file in FILES:
-            print(name, file, hashlib.sha256((out / name / file).read_bytes()).hexdigest())
+            lines.append(f"{name} {file} {hashlib.sha256((out / name / file).read_bytes()).hexdigest()}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: PYTHONPATH=src python3 tests/output_digests.py OUT_DIR [THREADS]", file=sys.stderr)
+        return 2
+    threads = int(argv[1]) if len(argv) > 1 else 1
+    for line in digest_lines(Path(argv[0]), threads):
+        print(line)
     return 0
 
 

@@ -138,3 +138,20 @@ class TestStateRoundTrip:
             assert not np.shares_memory(getattr(restored.buffer, name), getattr(state.buffer, name))
         run_training(cfg, resume=restored, clock=FIXED_CLOCK)  # pushes into the restored rings
         assert encode_payload(state_to_payload(state)) == before
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("states", lambda buf: buf["states"][:10]),
+            ("actions", lambda buf: buf["actions"].astype(np.float64)),
+            ("insert_count", lambda buf: -5),
+            ("capacity", lambda buf: buf["capacity"] + 1),
+        ],
+    )
+    def test_malformed_replay_buffer_rejected(self, field, bad):
+        cfg = chain_config(algorithm="dqn", total=800)
+        _, state = run_training(cfg, until_step=600, clock=FIXED_CLOCK)
+        payload = state_to_payload(state)
+        payload["buffer"] = dict(payload["buffer"], **{field: bad(payload["buffer"])})
+        with pytest.raises(CheckpointError, match="replay"):
+            payload_to_state(payload)

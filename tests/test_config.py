@@ -95,6 +95,13 @@ def test_validation_catches_bad_invariants():
         build_config({"algorithm": "eaude_dqn", "env": "chain", "eaude.tournament": 9})
 
 
+def test_sync_to_target_updates_is_value_based_only():
+    sync = {"polyprune.sync_to_target_updates": True}
+    with pytest.raises(ConfigError, match="no target updates"):
+        build_config({"algorithm": "polyprune_sac", "env": "pendulum", **sync})
+    assert build_config({"algorithm": "polyprune_dqn", "env": "chain", **sync}).polyprune.sync_to_target_updates
+
+
 def test_unparseable_value_is_an_error():
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_config_text("run.total_steps = soon\n")

@@ -163,3 +163,14 @@ class TestDistillUpdate:
             member = distillqn_update(member, self.CFG, t)
             values.append(member.sparsity)
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_soft_target_zeroed_under_the_new_mask(self):
+        params = init_network(mlp_layer_specs([6, 16, 3]), RngStream(0, "member/0/init"))
+        critic = fresh_member(params, init_adam_state(params, 1e-3, 1e-8), lineage_id=0, with_target=True)
+        pruned = distillqn_update(critic, self.CFG, 250)
+        assert pruned.sparsity > 0.0
+        assert masks_equal(pruned.target_mask, pruned.mask) and pruned.target_mask is not pruned.mask
+        for w, m in zip(pruned.target_params.weights, pruned.mask.layers):
+            assert np.all(w[m == 0.0] == 0.0)
+        # a member without a soft target gets none
+        assert distillqn_update(make_member(widths=(6, 16, 3)), self.CFG, 250).target_params is None

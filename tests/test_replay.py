@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from eaudeqn.envs import DiscreteSpace, Transition, make_env
-from eaudeqn.errors import ConfigError, DataFormatError
-from eaudeqn.replay import (
-    ReplayBuffer,
-    buffer_from_dataset,
-    collect_dataset,
-    dataset_from_transitions,
-    load_dataset,
-    save_dataset,
-)
+from eaudeqn.envs import DiscreteSpace, Transition
+from eaudeqn.errors import ConfigError
+from eaudeqn.replay import ReplayBuffer
 from eaudeqn.rng import RngStream
 
 
@@ -103,67 +96,16 @@ class TestSampling:
             make_buffer(4).sample_batch(1, RngStream(0, "replay"))
 
 
-class TestDatasetFile:
-    def _dataset(self):
-        env = make_env("chain")
-        rng = RngStream(21, "collect")
-
-        def policy(obs, r):
-            return int(r.integers(2))
-
-        return collect_dataset(env, policy, episodes=3, rng=rng)
-
-    def test_round_trip_is_exact(self, tmp_path):
-        ds = self._dataset()
-        path = tmp_path / "chain.ds"
-        save_dataset(ds, path)
-        assert load_dataset(path) == ds
-
-    def test_truncated_file_names_byte_offset(self, tmp_path):
-        ds = self._dataset()
-        path = tmp_path / "chain.ds"
-        save_dataset(ds, path)
-        blob = path.read_bytes()
-        cut = tmp_path / "cut.ds"
-        cut.write_bytes(blob[: len(blob) - 7])
-        with pytest.raises(DataFormatError) as info:
-            load_dataset(cut)
-        assert info.value.byte_offset is not None
-        assert str(info.value.byte_offset) in str(info.value)
-        assert info.value.record_index is not None
-
-    def test_bad_done_flag_names_record(self, tmp_path):
-        ds = self._dataset()
-        path = tmp_path / "chain.ds"
-        save_dataset(ds, path)
-        blob = bytearray(path.read_bytes())
-        blob[-1] = 7  # final record's done byte
-        bad = tmp_path / "bad.ds"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(DataFormatError) as info:
-            load_dataset(bad)
-        assert info.value.record_index == len(ds) - 1
-
-    def test_empty_dataset_refused(self):
-        env = make_env("chain")
-        with pytest.raises(ConfigError):
-            dataset_from_transitions(env.spec, [])
-
-    def test_continuous_actions_round_trip(self, tmp_path):
-        env = make_env("pendulum")
-        rng = RngStream(4, "collect")
-
-        def policy(obs, r):
-            return r.uniform(-2.0, 2.0, size=1)
-
-        ds = collect_dataset(env, policy, episodes=1, rng=rng)
-        path = tmp_path / "pend.ds"
-        save_dataset(ds, path)
-        assert load_dataset(path) == ds
-
-    def test_buffer_prefill_from_dataset(self):
-        ds = self._dataset()
-        buf = buffer_from_dataset(ds)
-        assert buf.size == len(ds)
-        first = buf.snapshot()[0]
-        assert np.array_equal(first.state, ds.states[0])
+class TestStateDict:
+    def test_round_trip_copies_or_adopts_the_rings(self):
+        buf = make_buffer(4)
+        for tag in range(6):
+            buf.push(tr(tag))
+        state = buf.state_dict()
+        copied = ReplayBuffer.from_state_dict(state, 4, 3, DiscreteSpace(2))
+        adopted = ReplayBuffer.from_state_dict(state, 4, 3, DiscreteSpace(2), copy=False)
+        for restored in (copied, adopted):
+            assert restored.size == 4 and restored.insert_count == 6
+            assert [t.reward for t in restored.snapshot()] == [2.0, 3.0, 4.0, 5.0]
+        assert not np.shares_memory(copied._states, buf._states)
+        assert adopted._states is buf._states
