@@ -3,20 +3,26 @@
 The file is a tagged binary tree: ints are arbitrary-precision (PCG64 states
 are 128-bit), floats are raw IEEE doubles, and arrays are dtype + shape + raw
 bytes, so load(save(x)) reproduces x exactly. The config rides along as its
-canonical text plus digest; resuming against a different config is refused.
+canonical text plus digest; resuming against a different config is refused,
+and so is a state whose networks or replay rings do not fit that config.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import io
 import os
 import struct
+import types
+import typing
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import build_config, canonical_text, config_digest, parse_config_text
+from .config import build_config, canonical_text, config_digest, network_widths, parse_config_text
 from .errors import CheckpointError, ConfigError, DataFormatError
-from .nncore import AdamState, LayerSpec, NetworkParams
+from .nncore import LayerSpec, NetworkParams, mlp_layer_specs
 from .population import Member, Population
 from .pruning import Mask
 from .replay import ReplayBuffer
@@ -193,112 +199,152 @@ def decode_payload(blob: bytes) -> dict:
 
 
 # -- state <-> payload --------------------------------------------------------
+#
+# A state object is stored as a record: a dict of its dataclass fields by
+# name, in field order. The two leaves that hold arrays store them as lists:
+# a network as "weights", "biases" and "specs" (its layer_specs, each as
+# [input_width, output_width, activation]), a mask as "layers". A Population
+# stores its stack as one "members" record per row. Restoring walks the same
+# fields, led by their type hints, and checks every network array against the
+# config before any state is returned.
+
+_F64 = np.dtype(np.float64)
+_PLAIN = {float, int, bool, str, type(None), np.ndarray}  # stored as they are
 
 
-def _params_payload(params: NetworkParams) -> dict:
-    return {
-        "weights": list(params.weights),
-        "biases": list(params.biases),
-        "specs": [[s.input_width, s.output_width, s.activation] for s in params.layer_specs],
-    }
+def _record(obj):
+    """The payload form of a state object or of one of its field values."""
+    if type(obj) in _PLAIN:
+        return obj
+    if isinstance(obj, NetworkParams):
+        return {"weights": list(obj.weights), "biases": list(obj.biases), "specs": _spec_records(obj.layer_specs)}
+    if isinstance(obj, Mask):
+        return {"layers": list(obj.layers)}
+    if isinstance(obj, (list, tuple)):
+        return [_record(x) for x in obj]
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    record = {name: _record(getattr(obj, name)) for name, _, _ in _plan(type(obj))}
+    return {"members": [_record(m) for m in obj.members], **record} if isinstance(obj, Population) else record
 
 
-def _params_restore(payload: dict) -> NetworkParams:
-    specs = tuple(LayerSpec(int(i), int(o), a) for i, o, a in payload["specs"])
-    return NetworkParams([w for w in payload["weights"]], [b for b in payload["biases"]], specs)
+def _spec_records(specs) -> list:
+    return [[s.input_width, s.output_width, s.activation] for s in specs]
 
 
-def _mask_payload(mask: Mask | None):
-    return None if mask is None else {"layers": list(mask.layers)}
+@functools.cache
+def _plan(cls) -> list:
+    """(name, type, optional) of each init field of cls: the fields a record holds."""
+    hints = typing.get_type_hints(cls)
+    plan = []
+    for f in dataclasses.fields(cls):
+        if f.init:
+            args = typing.get_args(hints[f.name])
+            optional = type(None) in args
+            plan.append((f.name, args[0] if optional else hints[f.name], optional))
+    return plan
 
 
-def _mask_restore(payload) -> Mask | None:
-    return None if payload is None else Mask(list(payload["layers"]))
+class _Net(NamedTuple):
+    """What the config expects of the networks of one role (q, actor or
+    critic) and of the population they sit in."""
+
+    specs: tuple[LayerSpec, ...]
+    spec_records: list
+    weight_shapes: list
+    bias_shapes: list
+    population_size: int
+    soft_targets: bool  # critics: a soft target per member and no shared target
 
 
-def _adam_payload(opt: AdamState) -> dict:
-    return {
-        "m": _params_payload(opt.m),
-        "v": _params_payload(opt.v),
-        "step_count": opt.step_count,
-        "learning_rate": opt.learning_rate,
-        "epsilon": opt.epsilon,
-        "beta1": opt.beta1,
-        "beta2": opt.beta2,
-    }
+def _net(widths, population_size: int, soft_targets: bool) -> _Net:
+    specs = mlp_layer_specs(widths)
+    shapes = [(s.output_width, s.input_width) for s in specs]
+    return _Net(specs, _spec_records(specs), shapes, [shape[:1] for shape in shapes], population_size, soft_targets)
 
 
-def _adam_restore(payload: dict) -> AdamState:
-    return AdamState(
-        m=_params_restore(payload["m"]),
-        v=_params_restore(payload["v"]),
-        step_count=int(payload["step_count"]),
-        learning_rate=float(payload["learning_rate"]),
-        epsilon=float(payload["epsilon"]),
-        beta1=float(payload["beta1"]),
-        beta2=float(payload["beta2"]),
-    )
+def _arrays(arrays, shapes: list, where: str) -> list:
+    """The record's arrays, if there is one float64 array of each expected shape."""
+    if len(arrays) != len(shapes):
+        raise CheckpointError(f"checkpoint {where}: {len(arrays)} arrays for {len(shapes)} layers")
+    for i, (arr, shape) in enumerate(zip(arrays, shapes)):
+        if type(arr) is not np.ndarray or arr.shape != shape or arr.dtype != _F64:
+            got = f"{arr.dtype}{list(arr.shape)}" if isinstance(arr, np.ndarray) else type(arr).__name__
+            raise CheckpointError(f"checkpoint {where}[{i}]: expected float64{list(shape)}, got {got}")
+    return list(arrays)
 
 
-def _member_payload(member: Member) -> dict:
-    return {
-        "params": _params_payload(member.params),
-        "mask": _mask_payload(member.mask),
-        "optimizer": _adam_payload(member.optimizer),
-        "cumulated_loss": member.cumulated_loss,
-        "sparsity": member.sparsity,
-        "lineage_id": member.lineage_id,
-        "mask_target": member.mask_target,
-        "target_params": None if member.target_params is None else _params_payload(member.target_params),
-        "target_mask": _mask_payload(member.target_mask),
-    }
+def _restore(hint, record, net: _Net, where: str):
+    """Rebuild a value of type `hint` from its record, refusing what does not
+    fit the config: network arrays that do not match `net`, negative int
+    fields, and populations whose member count, champion index, lineage ids,
+    targets or masks do not fit."""
+    if hint is NetworkParams:
+        if record["specs"] != net.spec_records:
+            raise CheckpointError(f"checkpoint {where}: layer specs {record['specs']} are not {net.spec_records}")
+        weights = _arrays(record["weights"], net.weight_shapes, f"{where}.weights")
+        return NetworkParams(weights, _arrays(record["biases"], net.bias_shapes, f"{where}.biases"), net.specs)
+    if hint is Mask:
+        return Mask(_arrays(record["layers"], net.weight_shapes, f"{where}.layers"))
+    if isinstance(hint, types.GenericAlias):  # a fixed-length tuple
+        hints = typing.get_args(hint)
+        if len(record) != len(hints):
+            raise CheckpointError(f"checkpoint {where}: {len(record)} entries, expected {len(hints)}")
+        return tuple(_restore(h, r, net, f"{where}[{i}]") for i, (h, r) in enumerate(zip(hints, record)))
+    kwargs = {}
+    for name, field_hint, optional in _plan(hint):
+        value = record[name]
+        if field_hint is float:
+            kwargs[name] = float(value)
+        elif field_hint is int:  # step counts, indices, ids and sizes
+            kwargs[name] = int(value)
+            if kwargs[name] < 0:
+                raise CheckpointError(f"checkpoint {where}.{name}: {value} is negative")
+        elif optional and value is None:
+            kwargs[name] = None
+        else:
+            kwargs[name] = _restore(field_hint, value, net, f"{where}.{name}")
+    if hint is not Population:
+        return hint(**kwargs)
+    k = net.population_size
+    if len(record["members"]) != k:
+        raise CheckpointError(f"checkpoint {where}: {len(record['members'])} members, the config has {k}")
+    members = [_restore(Member, m, net, f"{where}.members[{i}]") for i, m in enumerate(record["members"])]
+    if kwargs["champion_index"] >= k:
+        raise CheckpointError(f"checkpoint {where}: champion_index {kwargs['champion_index']} outside [0, {k})")
+    if any(m.lineage_id >= kwargs["next_lineage_id"] for m in members):
+        raise CheckpointError(f"checkpoint {where}: a lineage id is at or above next_lineage_id")
+    soft = {m.target_params is not None for m in members} | {m.target_mask is not None for m in members}
+    shared = {kwargs["target_params"] is not None, kwargs["target_mask"] is not None}
+    if soft != {net.soft_targets} or shared != {not net.soft_targets}:
+        wanted = "a soft target per member" if net.soft_targets else "one shared target"
+        raise CheckpointError(f"checkpoint {where}: this config's population has {wanted} and no other")
+    pop = Population(members, **kwargs)
+    _check_binary(pop.stack.mask, f"{where}.members[*].mask")  # one check per stacked layer
+    _check_binary(pop.stack.target_mask, f"{where}.members[*].target_mask")
+    _check_binary(pop.target_mask, f"{where}.target_mask")
+    return pop
 
 
-def _member_restore(payload: dict) -> Member:
-    return Member(
-        params=_params_restore(payload["params"]),
-        mask=_mask_restore(payload["mask"]),
-        optimizer=_adam_restore(payload["optimizer"]),
-        cumulated_loss=float(payload["cumulated_loss"]),
-        sparsity=float(payload["sparsity"]),
-        lineage_id=int(payload["lineage_id"]),
-        mask_target=float(payload["mask_target"]),
-        target_params=None
-        if payload["target_params"] is None
-        else _params_restore(payload["target_params"]),
-        target_mask=_mask_restore(payload["target_mask"]),
-    )
+def _check_binary(mask: Mask | None, where: str) -> None:
+    """Refuse a mask, or a stack of member masks, holding values other than 0 and 1."""
+    for i, layer in enumerate(() if mask is None else mask.layers):
+        bad = (layer != 0.0) & (layer != 1.0)
+        if bad.any():
+            at = np.argwhere(bad)[0].tolist()
+            raise CheckpointError(f"checkpoint {where}.layers[{i}]: {float(layer[tuple(at)])!r} at {at} is not 0 or 1")
 
 
-def _population_payload(pop: Population | None):
-    if pop is None:
-        return None
-    return {
-        "members": [_member_payload(m) for m in pop.members],
-        "target_params": None if pop.target_params is None else _params_payload(pop.target_params),
-        "target_mask": _mask_payload(pop.target_mask),
-        "champion_index": pop.champion_index,
-        "next_lineage_id": pop.next_lineage_id,
-    }
-
-
-def _population_restore(payload) -> Population | None:
-    if payload is None:
-        return None
-    return Population(
-        members=[_member_restore(m) for m in payload["members"]],
-        target_params=None
-        if payload["target_params"] is None
-        else _params_restore(payload["target_params"]),
-        target_mask=_mask_restore(payload["target_mask"]),
-        champion_index=int(payload["champion_index"]),
-        next_lineage_id=int(payload["next_lineage_id"]),
-    )
+def _part(hint, record, net: _Net | None, where: str):
+    """A per-family part of the state: present exactly when the config has its network."""
+    if (record is None) != (net is None):
+        raise CheckpointError(f"checkpoint {where}: {'missing' if record is None else 'not used by this config'}")
+    return None if record is None else _restore(hint, record, net, where)
 
 
 def state_to_payload(state: TrainState) -> dict:
     config = state.config
-    payload = {
+    return {
         "config_text": canonical_text(config),
         "config_digest": config_digest(config),
         "step": state.step,
@@ -313,36 +359,23 @@ def state_to_payload(state: TrainState) -> dict:
         "logged_champion": state.logged_champion,
         "logged_behavior": state.logged_behavior,
         "logged_behaviors": list(state.logged_behaviors),
-        "population": _population_payload(state.population),
-        "policy": None,
-        "twin": None,
+        "population": _record(state.population),
+        "policy": _record(state.policy),
+        "twin": _record(state.twin),
     }
-    if state.policy is not None:
-        payload["policy"] = {
-            "params": _params_payload(state.policy.params),
-            "mask": _mask_payload(state.policy.mask),
-            "optimizer": _adam_payload(state.policy.optimizer),
-            "action_dim": state.policy.action_dim,
-            "action_low": state.policy.action_low,
-            "action_high": state.policy.action_high,
-        }
-    if state.twin is not None:
-        payload["twin"] = {
-            "sides": [_population_payload(side) for side in state.twin.sides],
-            "tau": state.twin.tau,
-            "alpha": state.twin.alpha,
-            "prune_period": state.twin.prune_period,
-        }
-    return payload
 
 
 def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState:
-    """Rebuild a TrainState. The replay buffer copies the payload's arrays
-    unless adopt_buffer is set, as for a payload that was just decoded and has
-    no other user."""
+    """Rebuild a TrainState, refusing with CheckpointError any network or
+    replay ring that does not fit the config. The replay buffer copies the
+    payload's arrays unless adopt_buffer is set, as for a payload that was
+    just decoded and has no other user."""
     config = build_config(parse_config_text(payload["config_text"]))
     if config_digest(config) != payload["config_digest"]:
         raise CheckpointError("checkpoint config text does not match its stored digest")
+    step = int(payload["step"])
+    if step < 0:
+        raise CheckpointError(f"checkpoint step {step} is negative")
     spec = make_env(config.env).spec
     try:
         buffer = ReplayBuffer.from_state_dict(
@@ -350,35 +383,24 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         )
     except ConfigError as err:
         raise CheckpointError(f"checkpoint replay buffer does not fit this config: {err}") from err
+    k = config.population_size
+    nets = network_widths(config)
+    q, actor, critic = (
+        _net(nets[role], k, role == "critic") if role in nets else None for role in ("q", "actor", "critic")
+    )
+    population = _part(Population, payload["population"], q, "population")
+    policy = _part(GaussianPolicy, payload["policy"], actor, "policy")
+    twin = _part(TwinCriticPopulation, payload["twin"], critic, "twin")
+    if policy is not None:
+        _check_binary(policy.mask, "policy.mask")
     streams = {}
     for label, bitgen_state in payload["streams"].items():
         stream = RngStream(config.seed, label)
         stream.set_state(bitgen_state)
         streams[label] = stream
-    policy = None
-    if payload["policy"] is not None:
-        p = payload["policy"]
-        policy = GaussianPolicy(
-            params=_params_restore(p["params"]),
-            mask=_mask_restore(p["mask"]),
-            optimizer=_adam_restore(p["optimizer"]),
-            action_dim=int(p["action_dim"]),
-            action_low=float(p["action_low"]),
-            action_high=float(p["action_high"]),
-        )
-    twin = None
-    if payload["twin"] is not None:
-        tw = payload["twin"]
-        sides = [_population_restore(side) for side in tw["sides"]]
-        twin = TwinCriticPopulation(
-            sides=(sides[0], sides[1]),
-            tau=float(tw["tau"]),
-            alpha=float(tw["alpha"]),
-            prune_period=int(tw["prune_period"]),
-        )
     return TrainState(
         config=config,
-        step=int(payload["step"]),
+        step=step,
         streams=streams,
         buffer=buffer,
         env_state=payload["env_state"],
@@ -387,7 +409,7 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         episode_len=int(payload["episode_len"]),
         last_episode_return=float(payload["last_episode_return"]),
         last_eval=float(payload["last_eval"]),
-        population=_population_restore(payload["population"]),
+        population=population,
         logged_champion=int(payload["logged_champion"]),
         logged_behavior=int(payload["logged_behavior"]),
         policy=policy,

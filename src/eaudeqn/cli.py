@@ -20,13 +20,18 @@ from .rng import RngStream
 from .training import NumericAbortError, evaluate_policy, run_training
 
 
-def _write_outputs(out_dir: Path, config, log, state) -> None:
+def _write_text_outputs(out_dir: Path, config, log) -> None:
+    """log.csv, events.jsonl and config.txt, as a finished or aborted run leaves them."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "log.csv").write_text(log.to_csv(), encoding="utf-8")
     with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
         for event in log.events:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
     (out_dir / "config.txt").write_text(canonical_text(config), encoding="utf-8")
+
+
+def _write_outputs(out_dir: Path, config, log, state) -> None:
+    _write_text_outputs(out_dir, config, log)
     save_checkpoint(state, out_dir / "checkpoint.ckpt")
 
 
@@ -50,10 +55,9 @@ def _cmd_train(args) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NumericAbortError as err:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_text_outputs(out_dir, config, err.log)
         dump = out_dir / "abort.ckpt"
         save_checkpoint(err.state, dump)
-        (out_dir / "log.csv").write_text(err.log.to_csv(), encoding="utf-8")
         print(f"numeric abort: {err} (checkpoint dumped to {dump})", file=sys.stderr)
         return 3
     _write_outputs(out_dir, config, log, state)
@@ -72,7 +76,7 @@ def _cmd_evaluate(args) -> int:
         return 2
     config = state.config
     env = make_env(config.env)
-    agent = state.policy if state.policy is not None else state.population.members[state.population.champion_index]
+    agent = state.policy if state.policy is not None else state.population.network(state.population.champion_index)
     seed = args.seed if args.seed is not None else config.seed
     rng = RngStream(seed, "cli/evaluate")
     mean = evaluate_policy(agent, env, args.episodes, rng)

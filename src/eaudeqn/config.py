@@ -10,7 +10,9 @@ Config files are flat key/value text with dotted section names:
 
 Unknown keys are errors so typos in schedule constants cannot slip through.
 Defaults depend on (algorithm, env); schedule horizons derive from
-run.total_steps unless set explicitly.
+run.total_steps unless set explicitly. Each key, with its field, value kind
+and default, is listed once, in _KEYS; parsing, build_config and
+canonical_text all read that table.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import ConfigError
 from .pruning import EauDeConfig, PolyPruneConfig
 
 ALGORITHMS = ("dqn", "polyprune_dqn", "eaude_dqn", "sac", "polyprune_sac", "eaude_sac")
-VALUE_BASED = ("dqn", "polyprune_dqn", "eaude_dqn")
 SAC_FAMILY = ("sac", "polyprune_sac", "eaude_sac")
 
 
@@ -66,66 +67,90 @@ class ExperimentConfig:
         return self.algorithm in SAC_FAMILY
 
 
-_DEFAULT_TOTALS = {"chain": 20_000, "gridworld": 20_000, "cartpole": 100_000, "pendulum": 50_000}
+def _per_env(small: object, cartpole: object, pendulum: object):
+    """A default that depends on the env; chain and gridworld are the small ones."""
+    return lambda fields, spec: {"cartpole": cartpole, "pendulum": pendulum}.get(fields["env"], small)
 
-# key -> (parser tag, short help)
+
+def _per_family(sac: object, value_based: object):
+    return lambda fields, spec: sac if fields["algorithm"] in SAC_FAMILY else value_based
+
+
+# key -> (field, kind, default). A "polyprune." or "eaude." key sets a field
+# of that section's dataclass, which only the algorithms of that name have;
+# every other key sets a field of ExperimentConfig. A callable default gets
+# the fields resolved so far (keys resolve in this order) and the env spec.
 _KEYS = {
-    "algorithm": "str",
-    "env": "str",
-    "seed": "int",
-    "run.total_steps": "int",
-    "run.gradient_period": "int",
-    "run.target_period": "int",
-    "run.utd": "int",
-    "run.batch_size": "int",
-    "run.discount": "float",
-    "replay.capacity": "int",
-    "replay.warmup": "int",
-    "epsilon.start": "float",
-    "epsilon.end": "float",
-    "epsilon.decay_steps": "int",
-    "network.hidden_widths": "intlist",
-    "optim.learning_rate": "float",
-    "optim.adam_epsilon": "float",
-    "sac.tau": "float",
-    "sac.prune_period": "int",
-    "sac.alpha": "float",
-    "polyprune.final_sparsity": "float",
-    "polyprune.exponent": "float",
-    "polyprune.t_start": "int",
-    "polyprune.t_end": "int",
-    "polyprune.period": "int",
-    "polyprune.sync_to_target_updates": "bool",
-    "eaude.u_max": "float",
-    "eaude.s_max": "float",
-    "eaude.population": "int",
-    "eaude.tournament": "int",
-    "eval.period": "int",
-    "eval.episodes": "int",
-    "log.period": "int",
-    "normalize.random_baseline": "float",
-    "normalize.reference_score": "float",
+    "algorithm": ("algorithm", "str", "dqn"),
+    "env": ("env", "str", "chain"),
+    "seed": ("seed", "int", 0),
+    "run.total_steps": ("total_steps", "int", _per_env(20_000, 100_000, 50_000)),
+    "run.gradient_period": ("gradient_period", "int", 1),
+    "run.target_period": ("target_period", "int", _per_env(500, 1_000, 1_000)),
+    "run.utd": ("utd", "int", 1),
+    "run.batch_size": ("batch_size", "int", 32),
+    "run.discount": ("discount", "float", lambda fields, spec: spec.discount),
+    "replay.capacity": ("buffer_capacity", "int", _per_env(10_000, 20_000, 50_000)),
+    "replay.warmup": ("warmup", "int", _per_env(500, 1_000, 1_000)),
+    "epsilon.start": ("epsilon_start", "float", 1.0),
+    "epsilon.end": ("epsilon_end", "float", 0.01),
+    "epsilon.decay_steps": ("epsilon_decay_steps", "int", _per_env(10_000, 20_000, 20_000)),
+    "network.hidden_widths": ("hidden_widths", "intlist", _per_family((48, 48), (32, 32))),
+    "optim.learning_rate": ("learning_rate", "float", _per_family(2e-3, 1e-3)),
+    "optim.adam_epsilon": ("adam_epsilon", "float", 1.5e-4),
+    "sac.tau": ("tau", "float", 0.005),
+    "sac.prune_period": ("prune_period", "int", 250),
+    "sac.alpha": ("alpha", "float", 0.2),
+    "polyprune.final_sparsity": ("final_sparsity", "float", 0.95),
+    "polyprune.exponent": ("exponent", "float", 3.0),
+    "polyprune.t_start": ("t_start", "int", lambda fields, spec: round(0.2 * fields["total_steps"])),
+    "polyprune.t_end": ("t_end", "int", lambda fields, spec: round(0.8 * fields["total_steps"])),
+    "polyprune.period": (
+        "pruning_period",
+        "int",
+        lambda fields, spec: fields["prune_period" if fields["algorithm"] in SAC_FAMILY else "target_period"],
+    ),
+    "polyprune.sync_to_target_updates": ("sync_to_target_updates", "bool", False),
+    "eaude.u_max": ("u_max", "float", 3.0),
+    "eaude.s_max": ("s_max", "float", 0.01),
+    "eaude.population": ("population_size", "int", 5),
+    "eaude.tournament": ("tournament_size", "int", 3),
+    "eval.period": ("eval_period", "int", _per_env(1_000, 2_000, 2_500)),
+    "eval.episodes": ("eval_episodes", "int", _per_env(5, 5, 3)),
+    "log.period": ("log_period", "int", 100),
+    "normalize.random_baseline": ("random_baseline", "float", lambda fields, spec: spec.random_baseline),
+    "normalize.reference_score": ("reference_score", "float", lambda fields, spec: spec.reference_score),
 }
+# section -> (its dataclass, the algorithms that have it)
+_SECTIONS = {
+    "polyprune": (PolyPruneConfig, ("polyprune_dqn", "polyprune_sac")),
+    "eaude": (EauDeConfig, ("eaude_dqn", "eaude_sac")),
+}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# kind -> (parse config text, coerce a mapping's value or a default, render as text)
+_KINDS = {
+    "str": (str, None, str),
+    "int": (int, int, str),
+    "float": (float, float, repr),
+    "bool": (lambda raw: _BOOLS[raw.lower()], bool, lambda flag: "true" if flag else "false"),
+    "intlist": (
+        lambda raw: tuple(int(part) for part in raw.split(",") if part.strip()),
+        tuple,
+        lambda widths: ",".join(str(w) for w in widths),
+    ),
+}
+# (key, section or None, field, kind, default)
+_ROWS = [(key, key.partition(".")[0] if key.partition(".")[0] in _SECTIONS else None, *row)
+         for key, row in _KEYS.items()]
+_CANONICAL_ROWS = sorted(_ROWS)
 
 
 def _parse_value(key: str, raw: str):
-    kind = _KEYS[key]
+    kind = _KEYS[key][1]
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "intlist":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        return raw
-    except ValueError:
+        return _KINDS[kind][0](raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"cannot parse {key} = {raw!r} as {kind}") from None
 
 
@@ -150,80 +175,28 @@ def parse_config_text(text: str) -> dict:
 
 def build_config(overrides: dict) -> ExperimentConfig:
     """Desk-scale defaults for (algorithm, env), overridden by the mapping."""
-    algorithm = overrides.get("algorithm", "dqn")
-    env_id = overrides.get("env", "chain")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
-    env = make_env(env_id)
-    spec = env.spec
-
-    total = int(overrides.get("run.total_steps", _DEFAULT_TOTALS[env_id]))
-    small_env = env_id in ("chain", "gridworld")
-    target_period = int(overrides.get("run.target_period", 500 if small_env else 1_000))
-    prune_period = int(overrides.get("sac.prune_period", 250))
-
-    polyprune = None
-    if algorithm in ("polyprune_dqn", "polyprune_sac"):
-        default_period = target_period if algorithm == "polyprune_dqn" else prune_period
-        polyprune = PolyPruneConfig(
-            final_sparsity=float(overrides.get("polyprune.final_sparsity", 0.95)),
-            exponent=float(overrides.get("polyprune.exponent", 3.0)),
-            t_start=int(overrides.get("polyprune.t_start", round(0.2 * total))),
-            t_end=int(overrides.get("polyprune.t_end", round(0.8 * total))),
-            t_final=total,
-            pruning_period=int(overrides.get("polyprune.period", default_period)),
-            sync_to_target_updates=bool(overrides.get("polyprune.sync_to_target_updates", False)),
-        )
-
-    eaude = None
-    if algorithm in ("eaude_dqn", "eaude_sac"):
-        eaude = EauDeConfig(
-            u_max=float(overrides.get("eaude.u_max", 3.0)),
-            s_max=float(overrides.get("eaude.s_max", 0.01)),
-            population_size=int(overrides.get("eaude.population", 5)),
-            tournament_size=int(overrides.get("eaude.tournament", 3)),
-            t_final=total,
-        )
-
-    config = ExperimentConfig(
-        algorithm=algorithm,
-        env=env_id,
-        seed=int(overrides.get("seed", 0)),
-        total_steps=total,
-        gradient_period=int(overrides.get("run.gradient_period", 1)),
-        target_period=target_period,
-        utd=int(overrides.get("run.utd", 1)),
-        batch_size=int(overrides.get("run.batch_size", 32)),
-        buffer_capacity=int(overrides.get("replay.capacity", 10_000 if small_env else (20_000 if env_id == "cartpole" else 50_000))),
-        warmup=int(overrides.get("replay.warmup", 500 if small_env else 1_000)),
-        epsilon_start=float(overrides.get("epsilon.start", 1.0)),
-        epsilon_end=float(overrides.get("epsilon.end", 0.01)),
-        epsilon_decay_steps=int(overrides.get("epsilon.decay_steps", 10_000 if small_env else 20_000)),
-        hidden_widths=tuple(
-            overrides.get("network.hidden_widths", (48, 48) if spec_is_sac(algorithm) else (32, 32))
-        ),
-        learning_rate=float(
-            overrides.get("optim.learning_rate", 2e-3 if spec_is_sac(algorithm) else 1e-3)
-        ),
-        adam_epsilon=float(overrides.get("optim.adam_epsilon", 1.5e-4)),
-        discount=float(overrides.get("run.discount", spec.discount)),
-        tau=float(overrides.get("sac.tau", 0.005)),
-        prune_period=prune_period,
-        alpha=float(overrides.get("sac.alpha", 0.2)),
-        eval_period=int(overrides.get("eval.period", 1_000 if small_env else (2_000 if env_id == "cartpole" else 2_500))),
-        eval_episodes=int(overrides.get("eval.episodes", 5 if env_id != "pendulum" else 3)),
-        log_period=int(overrides.get("log.period", 100)),
-        random_baseline=float(overrides.get("normalize.random_baseline", spec.random_baseline)),
-        reference_score=float(overrides.get("normalize.reference_score", spec.reference_score)),
-        polyprune=polyprune,
-        eaude=eaude,
-    )
+    fields: dict = {}
+    sections: dict = {name: {} for name in _SECTIONS}
+    spec = None  # set once env resolves, before any callable default
+    for key, section, name, kind, default in _ROWS:
+        if section is not None and fields["algorithm"] not in _SECTIONS[section][1]:
+            continue  # a section the algorithm does not have ignores its keys
+        if key in overrides:
+            value = overrides[key]
+        else:
+            value = default(fields, spec) if callable(default) else default
+        if kind != "str":  # a "str" value passes as given
+            value = _KINDS[kind][1](value)
+        (fields if section is None else sections[section])[name] = value
+        if name == "algorithm" and value not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {value!r}; known: {ALGORITHMS}")
+        if name == "env":
+            spec = make_env(value).spec
+    for name, (cls, algorithms) in _SECTIONS.items():
+        fields[name] = cls(**sections[name], t_final=fields["total_steps"]) if fields["algorithm"] in algorithms else None
+    config = ExperimentConfig(**fields)
     validate_config(config)
     return config
-
-
-def spec_is_sac(algorithm: str) -> bool:
-    return algorithm in SAC_FAMILY
 
 
 def load_config(path, seed: int | None = None) -> ExperimentConfig:
@@ -281,57 +254,13 @@ def validate_config(config: ExperimentConfig) -> None:
 
 
 def canonical_text(config: ExperimentConfig) -> str:
-    """Deterministic full rendering of the config, one key per line."""
-    lines = {
-        "algorithm": config.algorithm,
-        "env": config.env,
-        "seed": config.seed,
-        "run.total_steps": config.total_steps,
-        "run.gradient_period": config.gradient_period,
-        "run.target_period": config.target_period,
-        "run.utd": config.utd,
-        "run.batch_size": config.batch_size,
-        "run.discount": repr(config.discount),
-        "replay.capacity": config.buffer_capacity,
-        "replay.warmup": config.warmup,
-        "epsilon.start": repr(config.epsilon_start),
-        "epsilon.end": repr(config.epsilon_end),
-        "epsilon.decay_steps": config.epsilon_decay_steps,
-        "network.hidden_widths": ",".join(str(w) for w in config.hidden_widths),
-        "optim.learning_rate": repr(config.learning_rate),
-        "optim.adam_epsilon": repr(config.adam_epsilon),
-        "sac.tau": repr(config.tau),
-        "sac.prune_period": config.prune_period,
-        "sac.alpha": repr(config.alpha),
-        "eval.period": config.eval_period,
-        "eval.episodes": config.eval_episodes,
-        "log.period": config.log_period,
-        "normalize.random_baseline": repr(config.random_baseline),
-        "normalize.reference_score": repr(config.reference_score),
-    }
-    if config.polyprune is not None:
-        pp = config.polyprune
-        lines.update(
-            {
-                "polyprune.final_sparsity": repr(pp.final_sparsity),
-                "polyprune.exponent": repr(pp.exponent),
-                "polyprune.t_start": pp.t_start,
-                "polyprune.t_end": pp.t_end,
-                "polyprune.period": pp.pruning_period,
-                "polyprune.sync_to_target_updates": "true" if pp.sync_to_target_updates else "false",
-            }
-        )
-    if config.eaude is not None:
-        ea = config.eaude
-        lines.update(
-            {
-                "eaude.u_max": repr(ea.u_max),
-                "eaude.s_max": repr(ea.s_max),
-                "eaude.population": ea.population_size,
-                "eaude.tournament": ea.tournament_size,
-            }
-        )
-    return "\n".join(f"{key} = {lines[key]}" for key in sorted(lines)) + "\n"
+    """Deterministic full rendering of the config, one key per line, sorted."""
+    lines = []
+    for key, section, name, kind, _ in _CANONICAL_ROWS:
+        owner = config if section is None else getattr(config, section)
+        if owner is not None:
+            lines.append(f"{key} = {_KINDS[kind][2](getattr(owner, name))}\n")
+    return "".join(lines)
 
 
 def config_digest(config: ExperimentConfig) -> str:

@@ -23,24 +23,24 @@ import numpy as np
 
 from .errors import ConfigError
 from .nncore import (
+    AdamState,
     NetworkParams,
     adam_step,
     backprop_from_output,
     forward,
-    td_loss_and_grad,
     _forward_cache,
 )
 from .population import (
     Member,
     Network,
     Population,
-    check_finite_loss,
     exploitation,
     exploration,
+    member_gradient_step,
     sample_behavior_index,
     select_target,
 )
-from .pruning import EauDeConfig, Mask, apply_mask
+from .pruning import EauDeConfig, Mask, apply_mask  # noqa: F401  (perfbench traces the sac.apply_mask binding)
 from .replay import Batch
 from .rng import RngStream
 
@@ -55,7 +55,7 @@ class GaussianPolicy:
 
     params: NetworkParams
     mask: Mask
-    optimizer: "object"
+    optimizer: AdamState
     action_dim: int
     action_low: float
     action_high: float
@@ -96,6 +96,18 @@ def _log_one_minus_tanh_sq(u: np.ndarray) -> np.ndarray:
     return 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))
 
 
+def _log_prob(policy: GaussianPolicy, z: np.ndarray, log_std: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-sample log pi(a|s) of a = center + half_range * tanh(u), where
+    u = mean + exp(log_std) * z: Gaussian density plus the tanh correction."""
+    return (
+        -0.5 * z**2
+        - log_std
+        - _HALF_LOG_2PI
+        - math.log(policy.half_range)
+        - _log_one_minus_tanh_sq(u)
+    ).sum(axis=-1)
+
+
 def sample_action(policy: GaussianPolicy, states, noise) -> tuple[np.ndarray, np.ndarray]:
     """Reparameterized tanh-Gaussian sample and its log-probability.
 
@@ -108,14 +120,7 @@ def sample_action(policy: GaussianPolicy, states, noise) -> tuple[np.ndarray, np
     u = mean + std * noise
     th = np.tanh(u)
     actions = policy.center + policy.half_range * th
-    log_prob = (
-        -0.5 * noise**2
-        - log_std
-        - _HALF_LOG_2PI
-        - math.log(policy.half_range)
-        - _log_one_minus_tanh_sq(u)
-    ).sum(axis=-1)
-    return actions, log_prob
+    return actions, _log_prob(policy, noise, log_std, u)
 
 
 def draw_action(policy: GaussianPolicy, state, rng: RngStream) -> tuple[np.ndarray, float]:
@@ -140,14 +145,7 @@ def action_log_prob(policy: GaussianPolicy, state, actions) -> np.ndarray:
     std = np.exp(log_std)
     unit = np.clip((acts - policy.center) / policy.half_range, -1.0 + 1e-12, 1.0 - 1e-12)
     u = np.arctanh(unit)
-    z = (u - mean) / std
-    return (
-        -0.5 * z**2
-        - log_std
-        - _HALF_LOG_2PI
-        - math.log(policy.half_range)
-        - _log_one_minus_tanh_sq(u)
-    ).sum(axis=-1)
+    return _log_prob(policy, (u - mean) / std, log_std, u)
 
 
 def critic_inputs(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -198,16 +196,10 @@ def train_critic_member(member: Member, inputs: np.ndarray, targets: np.ndarray,
     and the EMA loss bookkeeping. Takes one member or a side's stack (one step
     for every row, with a (K,) loss)."""
     zeros = np.zeros(inputs.shape[0], dtype=np.int64)
-    loss, grad = td_loss_and_grad(member.params, member.mask, inputs, zeros, targets)
-    check_finite_loss(loss, member, "critic loss")
-    new_params, new_opt = adam_step(member.params, grad, member.optimizer)
-    new_params = apply_mask(new_params, member.mask)
-    new_target = soft_update(member.target_params, new_params, tau)
+    stepped, loss = member_gradient_step(member, inputs, zeros, targets)
     updated = replace(
-        member,
-        params=new_params,
-        optimizer=new_opt,
-        target_params=new_target,
+        stepped,
+        target_params=soft_update(member.target_params, stepped.params, tau),
         cumulated_loss=ema_loss_update(member.cumulated_loss, loss, tau),
     )
     return updated, loss
@@ -241,14 +233,7 @@ def actor_objective_and_grad(
     u = mean + std * noise
     th = np.tanh(u)
     actions = policy.center + policy.half_range * th
-
-    log_prob = (
-        -0.5 * noise**2
-        - log_std
-        - _HALF_LOG_2PI
-        - math.log(policy.half_range)
-        - _log_one_minus_tanh_sq(u)
-    ).sum(axis=1)
+    log_prob = _log_prob(policy, noise, log_std, u)
 
     inputs = critic_inputs(states2d, actions)
     acts_a, pre_a, eff_a = _forward_cache(critic_a.params, critic_a.mask, inputs)

@@ -155,3 +155,89 @@ class TestStateRoundTrip:
         payload["buffer"] = dict(payload["buffer"], **{field: bad(payload["buffer"])})
         with pytest.raises(CheckpointError, match="replay"):
             payload_to_state(payload)
+
+
+def _first_entry(value):
+    """A transform: the array with its first entry set to value."""
+
+    def transform(arr):
+        arr = arr.copy()
+        arr.flat[0] = value
+        return arr
+
+    return transform
+
+
+M0 = ("population", "members", 0)
+S0, S1 = ("twin", "sides", 0, "members"), ("twin", "sides", 1, "members")
+# case -> (payload's algorithm, path to a payload entry, its replacement given the old value, error match)
+MALFORMED_NETWORKS = {
+    "weight_cut_to_3_rows": ("dqn", (*M0, "params", "weights", 0), lambda w: w[:3],
+                             r"population\.members\[0\]\.params\.weights\[0\]: expected float64\[32, 10\], "
+                             r"got float64\[3, 10\]"),
+    "weight_float32": ("dqn", (*M0, "params", "weights", 1), lambda w: w.astype(np.float32), r"weights\[1\].*got float32"),
+    "missing_bias": ("dqn", (*M0, "params", "biases"), lambda bs: bs[:2], "2 arrays for 3 layers"),
+    "layer_specs": ("dqn", (*M0, "params", "specs", 0, 1), lambda width: 16, "layer specs"),
+    "adam_moment": ("dqn", (*M0, "optimizer", "v", "biases", 2), lambda b: b[:1], r"optimizer\.v\.biases\[2\]"),
+    "shared_target": ("dqn", ("population", "target_params", "weights", 1), lambda w: w[:3],
+                      r"population\.target_params\.weights\[1\]"),
+    "shared_target_missing": ("dqn", ("population", "target_params"), lambda t: None, "one shared target"),
+    "mask_shape": ("dqn", (*M0, "mask", "layers", 1), lambda m: m[:3], r"mask\.layers\[1\]"),
+    "mask_not_binary": ("dqn", (*M0, "mask", "layers", 1), _first_entry(0.5),
+                        r"population\.members\[\*\]\.mask\.layers\[1\]: 0\.5 at \[0, 0, 0\] is not 0 or 1"),
+    "shared_target_mask_not_binary": ("dqn", ("population", "target_mask", "layers", 0), _first_entry(np.nan),
+                                      r"population\.target_mask\.layers\[0\]: nan at \[0, 0\]"),
+    "negative_step": ("dqn", ("step",), lambda step: -1, "step -1 is negative"),
+    "negative_adam_step_count": ("dqn", (*M0, "optimizer", "step_count"), lambda n: -2,
+                                 r"members\[0\]\.optimizer\.step_count: -2 is negative"),
+    "population_missing": ("dqn", ("population",), lambda pop: None, "population: missing"),
+    "member_missing": ("eaude_dqn", ("population", "members"), lambda ms: ms[:4], "4 members, the config has 5"),
+    "champion_index_high": ("eaude_dqn", ("population", "champion_index"), lambda i: 5, "champion_index 5"),
+    "champion_index_negative": ("eaude_dqn", ("population", "champion_index"), lambda i: -1,
+                                "champion_index: -1 is negative"),
+    "lineage_id_unissued": ("eaude_dqn", ("population", "members", 3, "lineage_id"), lambda i: 10**6,
+                            "at or above next_lineage_id"),
+    "soft_target_cut": ("eaude_sac", (*S1, 0, "target_params", "weights", 1), lambda w: w[:3],
+                        r"twin\.sides\[1\]\.members\[0\]\.target_params\.weights\[1\]"),
+    "soft_target_missing": ("eaude_sac", (*S0, 1, "target_params"), lambda t: None, "a soft target per member"),
+    "soft_target_mask_not_binary": ("eaude_sac", (*S0, 1, "target_mask", "layers", 2), _first_entry(2.0),
+                                    r"sides\[0\]\.members\[\*\]\.target_mask\.layers\[2\]: 2\.0 at \[1, 0, 0\]"),
+    "critic_side_missing": ("eaude_sac", ("twin", "sides"), lambda sides: sides[:1], "1 entries, expected 2"),
+    "policy_weight": ("eaude_sac", ("policy", "params", "weights", 2), lambda w: w[:1],
+                      r"policy\.params\.weights\[2\]: expected float64\[2, 48\]"),
+    "policy_mask_not_binary": ("eaude_sac", ("policy", "mask", "layers", 0), _first_entry(-1.0),
+                               r"policy\.mask\.layers\[0\]: -1\.0 at \[0, 0\]"),
+    "policy_adam_step_count": ("eaude_sac", ("policy", "optimizer", "step_count"), lambda n: -1,
+                               r"policy\.optimizer\.step_count: -1 is negative"),
+    "population_in_sac": ("eaude_sac", ("population",), lambda pop: {}, "population: not used"),
+}
+
+
+@pytest.fixture(scope="module")
+def payload_blobs():
+    """Encoded mid-run payloads, one per algorithm the malformed cases use."""
+    configs = {
+        "dqn": chain_config(algorithm="dqn", total=800),
+        "eaude_dqn": chain_config(algorithm="eaude_dqn", total=800, **{"run.target_period": 250}),
+        "eaude_sac": build_config({"algorithm": "eaude_sac", "env": "pendulum", "seed": 3, "run.total_steps": 400,
+                                   "replay.warmup": 200, "sac.prune_period": 100, "eaude.population": 2,
+                                   "eaude.tournament": 1}),
+    }
+    return {
+        name: encode_payload(state_to_payload(run_training(cfg, until_step=300 if cfg.is_sac else 600,
+                                                           clock=FIXED_CLOCK)[1]))
+        for name, cfg in configs.items()
+    }
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NETWORKS))
+def test_malformed_network_rejected(case, payload_blobs):
+    algorithm, path, replace, match = MALFORMED_NETWORKS[case]
+    payload_to_state(decode_payload(payload_blobs[algorithm]))  # the unmodified payload loads
+    payload = decode_payload(payload_blobs[algorithm])
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = replace(parent[path[-1]])
+    with pytest.raises(CheckpointError, match=match):
+        payload_to_state(payload)

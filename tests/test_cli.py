@@ -78,7 +78,8 @@ class TestTrain:
         out = tmp_path / "out"
         code = main(["train", "--config", str(cfg_path), "--out", str(out), "--resume", str(bad)])
         assert code == 3
-        assert (out / "abort.ckpt").exists()
+        for name in ("abort.ckpt", "log.csv", "events.jsonl", "config.txt"):
+            assert (out / name).exists()
         assert "numeric abort" in capsys.readouterr().err
 
     def test_resume_continues_to_completion(self, tmp_path):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaudeqn.config import (
     build_config,
@@ -54,12 +56,73 @@ def test_sac_defaults_on_pendulum():
     assert widths["critic"] == (4, 48, 48, 1)
 
 
-def test_parse_text_round_trip():
-    cfg = build_config({"algorithm": "eaude_dqn", "env": "gridworld", "seed": 7})
+VALUE_PAIRS = [(a, e) for a in ("dqn", "polyprune_dqn", "eaude_dqn") for e in ("chain", "gridworld", "cartpole")]
+SAC_PAIRS = [(a, "pendulum") for a in ("sac", "polyprune_sac", "eaude_sac")]
+_counts = st.integers(1, 10_000)
+_unit = st.floats(0.001, 0.999)
+# every config key but algorithm and env, with values that validate on any
+# valid (algorithm, env) pair; section keys only count where the section is
+OVERRIDES = {
+    "seed": st.integers(0, 2**63 - 1),
+    "run.total_steps": st.integers(1_000, 10**6),
+    "run.gradient_period": _counts,
+    "run.target_period": _counts,
+    "run.utd": _counts,
+    "run.batch_size": _counts,
+    "run.discount": _unit,
+    "replay.capacity": st.integers(1_000, 10**6),
+    "replay.warmup": st.integers(0, 1_000),
+    "epsilon.start": st.floats(0.5, 1.0),
+    "epsilon.end": st.floats(0.0, 0.5),
+    "epsilon.decay_steps": _counts,
+    "network.hidden_widths": st.lists(st.integers(1, 64), min_size=1, max_size=3).map(tuple),
+    "optim.learning_rate": st.floats(1e-8, 1.0),
+    "optim.adam_epsilon": st.floats(1e-12, 1.0),
+    "sac.tau": _unit,
+    "sac.prune_period": _counts,
+    "sac.alpha": st.floats(0.0, 10.0),
+    "polyprune.final_sparsity": st.floats(0.0, 0.99),
+    "polyprune.exponent": st.floats(1.0, 10.0),
+    "polyprune.t_start": st.integers(0, 500),
+    "polyprune.t_end": st.integers(501, 1_000),
+    "polyprune.period": _counts,
+    "polyprune.sync_to_target_updates": st.booleans(),
+    "eaude.u_max": st.floats(0.0, 100.0),
+    "eaude.s_max": st.floats(1e-6, 1.0),
+    "eaude.population": st.integers(5, 12),
+    "eaude.tournament": st.integers(1, 5),
+    "eval.period": _counts,
+    "eval.episodes": _counts,
+    "log.period": _counts,
+    "normalize.random_baseline": st.floats(-1e3, 0.0),
+    "normalize.reference_score": st.floats(1.0, 1e3),
+}
+
+
+@st.composite
+def configs(draw):
+    algorithm, env = draw(st.sampled_from(VALUE_PAIRS + SAC_PAIRS))
+    overrides = draw(st.fixed_dictionaries({"algorithm": st.just(algorithm), "env": st.just(env)}, optional=OVERRIDES))
+    window = ("polyprune.t_start", "polyprune.t_end")
+    if any(key in overrides for key in window):  # set as a pair, else a default end may precede the start
+        for key in window:
+            overrides.setdefault(key, draw(OVERRIDES[key]))
+    if algorithm == "polyprune_sac":  # it has no target updates to sync to
+        overrides.pop("polyprune.sync_to_target_updates", None)
+    return build_config(overrides)
+
+
+@given(configs())
+@settings(max_examples=300, deadline=None)
+def test_parse_text_round_trip(cfg):
     text = canonical_text(cfg)
-    rebuilt = build_config(parse_config_text(text))
-    assert canonical_text(rebuilt) == text
-    assert config_digest(rebuilt) == config_digest(cfg)
+    assert build_config(parse_config_text(text)) == cfg
+    sections = {"polyprune": cfg.polyprune, "eaude": cfg.eaude}
+    listed = [line.partition(" = ")[0] for line in text.splitlines()]
+    expected = {"algorithm", "env"} | {
+        key for key in OVERRIDES if sections.get(key.partition(".")[0], cfg) is not None
+    }
+    assert listed == sorted(expected)
 
 
 def test_parse_rejects_unknown_key():
