@@ -28,7 +28,7 @@ from .pruning import Mask
 from .replay import ReplayBuffer
 from .rng import RngStream
 from .sac import GaussianPolicy, TwinCriticPopulation
-from .training import TrainState
+from .training import SAC_STREAMS, VALUE_STREAMS, TrainState
 from .envs import make_env
 
 _MAGIC = b"EAUDECK1"
@@ -206,10 +206,13 @@ def decode_payload(blob: bytes) -> dict:
 # [input_width, output_width, activation]), a mask as "layers". A Population
 # stores its stack as one "members" record per row. Restoring walks the same
 # fields, led by their type hints, and checks every network array against the
-# config before any state is returned.
+# config before any state is returned. A missing entry or a value of the wrong
+# type anywhere in the payload is a CheckpointError, never a KeyError or a
+# TypeError.
 
 _F64 = np.dtype(np.float64)
 _PLAIN = {float, int, bool, str, type(None), np.ndarray}  # stored as they are
+_NUMBERS = {int: (int, np.integer), float: (float, int, np.floating, np.integer)}
 
 
 def _record(obj):
@@ -263,14 +266,49 @@ def _net(widths, population_size: int, soft_targets: bool) -> _Net:
     return _Net(specs, _spec_records(specs), shapes, [shape[:1] for shape in shapes], population_size, soft_targets)
 
 
+def _kind(value) -> str:
+    """How an error message names a payload value: dtype and shape, or type."""
+    return f"{value.dtype}{list(value.shape)}" if isinstance(value, np.ndarray) else type(value).__name__
+
+
+def _fields(record, keys: frozenset, where: str) -> dict:
+    """The record, if it is a dict holding every one of keys."""
+    if type(record) is not dict:
+        raise CheckpointError(f"checkpoint {where}: expected a record, got {_kind(record)}")
+    if not record.keys() >= keys:
+        raise CheckpointError(f"checkpoint {where}: no {', '.join(map(repr, sorted(keys - record.keys())))} entry")
+    return record
+
+
+@functools.cache
+def _keys(cls) -> frozenset:
+    """The keys of a record of cls."""
+    if cls is NetworkParams:
+        return frozenset(("weights", "biases", "specs"))
+    return frozenset(name for name, _, _ in _plan(cls)) | ({"members"} if cls is Population else set())
+
+
+def _list(value, where: str) -> list:
+    if type(value) is not list:
+        raise CheckpointError(f"checkpoint {where}: expected a list, got {_kind(value)}")
+    return value
+
+
+def _number(hint, value, where: str, name: str | None = None):
+    """value as an int or a float (hint), refusing any other type."""
+    if not isinstance(value, _NUMBERS[hint]):
+        at = where if name is None else f"{where}.{name}"
+        raise CheckpointError(f"checkpoint {at}: expected {hint.__name__}, got {_kind(value)}")
+    return hint(value)
+
+
 def _arrays(arrays, shapes: list, where: str) -> list:
     """The record's arrays, if there is one float64 array of each expected shape."""
-    if len(arrays) != len(shapes):
+    if len(_list(arrays, where)) != len(shapes):
         raise CheckpointError(f"checkpoint {where}: {len(arrays)} arrays for {len(shapes)} layers")
     for i, (arr, shape) in enumerate(zip(arrays, shapes)):
         if type(arr) is not np.ndarray or arr.shape != shape or arr.dtype != _F64:
-            got = f"{arr.dtype}{list(arr.shape)}" if isinstance(arr, np.ndarray) else type(arr).__name__
-            raise CheckpointError(f"checkpoint {where}[{i}]: expected float64{list(shape)}, got {got}")
+            raise CheckpointError(f"checkpoint {where}[{i}]: expected float64{list(shape)}, got {_kind(arr)}")
     return list(arrays)
 
 
@@ -279,6 +317,12 @@ def _restore(hint, record, net: _Net, where: str):
     fit the config: network arrays that do not match `net`, negative int
     fields, and populations whose member count, champion index, lineage ids,
     targets or masks do not fit."""
+    if isinstance(hint, types.GenericAlias):  # a fixed-length tuple
+        hints = typing.get_args(hint)
+        if len(_list(record, where)) != len(hints):
+            raise CheckpointError(f"checkpoint {where}: {len(record)} entries, expected {len(hints)}")
+        return tuple(_restore(h, r, net, f"{where}[{i}]") for i, (h, r) in enumerate(zip(hints, record)))
+    record = _fields(record, _keys(hint), where)
     if hint is NetworkParams:
         if record["specs"] != net.spec_records:
             raise CheckpointError(f"checkpoint {where}: layer specs {record['specs']} are not {net.spec_records}")
@@ -286,18 +330,13 @@ def _restore(hint, record, net: _Net, where: str):
         return NetworkParams(weights, _arrays(record["biases"], net.bias_shapes, f"{where}.biases"), net.specs)
     if hint is Mask:
         return Mask(_arrays(record["layers"], net.weight_shapes, f"{where}.layers"))
-    if isinstance(hint, types.GenericAlias):  # a fixed-length tuple
-        hints = typing.get_args(hint)
-        if len(record) != len(hints):
-            raise CheckpointError(f"checkpoint {where}: {len(record)} entries, expected {len(hints)}")
-        return tuple(_restore(h, r, net, f"{where}[{i}]") for i, (h, r) in enumerate(zip(hints, record)))
     kwargs = {}
     for name, field_hint, optional in _plan(hint):
         value = record[name]
         if field_hint is float:
-            kwargs[name] = float(value)
+            kwargs[name] = _number(float, value, where, name)
         elif field_hint is int:  # step counts, indices, ids and sizes
-            kwargs[name] = int(value)
+            kwargs[name] = _number(int, value, where, name)
             if kwargs[name] < 0:
                 raise CheckpointError(f"checkpoint {where}.{name}: {value} is negative")
         elif optional and value is None:
@@ -307,9 +346,10 @@ def _restore(hint, record, net: _Net, where: str):
     if hint is not Population:
         return hint(**kwargs)
     k = net.population_size
-    if len(record["members"]) != k:
-        raise CheckpointError(f"checkpoint {where}: {len(record['members'])} members, the config has {k}")
-    members = [_restore(Member, m, net, f"{where}.members[{i}]") for i, m in enumerate(record["members"])]
+    records = _list(record["members"], f"{where}.members")
+    if len(records) != k:
+        raise CheckpointError(f"checkpoint {where}: {len(records)} members, the config has {k}")
+    members = [_restore(Member, m, net, f"{where}.members[{i}]") for i, m in enumerate(records)]
     if kwargs["champion_index"] >= k:
         raise CheckpointError(f"checkpoint {where}: champion_index {kwargs['champion_index']} outside [0, {k})")
     if any(m.lineage_id >= kwargs["next_lineage_id"] for m in members):
@@ -366,55 +406,85 @@ def state_to_payload(state: TrainState) -> dict:
 
 
 def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState:
-    """Rebuild a TrainState, refusing with CheckpointError any network or
-    replay ring that does not fit the config. The replay buffer copies the
-    payload's arrays unless adopt_buffer is set, as for a payload that was
-    just decoded and has no other user."""
-    config = build_config(parse_config_text(payload["config_text"]))
-    if config_digest(config) != payload["config_digest"]:
+    """Rebuild a TrainState, refusing with CheckpointError any entry that is
+    missing, of the wrong type or does not fit the config: networks, replay
+    rings, random streams, the env state and the observation. The replay
+    buffer copies the payload's arrays unless adopt_buffer is set, as for a
+    payload that was just decoded and has no other user."""
+
+    def get(key):
+        return _fields(payload, {key}, "payload")[key]
+
+    text = get("config_text")
+    if type(text) is not str:
+        raise CheckpointError(f"checkpoint config_text: expected str, got {_kind(text)}")
+    try:
+        config = build_config(parse_config_text(text))
+    except ConfigError as err:
+        raise CheckpointError(f"checkpoint config text is not a valid config: {err}") from err
+    if config_digest(config) != get("config_digest"):
         raise CheckpointError("checkpoint config text does not match its stored digest")
-    step = int(payload["step"])
+    step = _number(int, get("step"), "step")
     if step < 0:
         raise CheckpointError(f"checkpoint step {step} is negative")
-    spec = make_env(config.env).spec
+    episode_len = _number(int, get("episode_len"), "episode_len")
+    if episode_len < 0:
+        raise CheckpointError(f"checkpoint episode_len {episode_len} is negative")
+    env = make_env(config.env)
+    spec = env.spec
     try:
         buffer = ReplayBuffer.from_state_dict(
-            payload["buffer"], config.buffer_capacity, spec.observation_width, spec.action_space, copy=not adopt_buffer
+            get("buffer"), config.buffer_capacity, spec.observation_width, spec.action_space, copy=not adopt_buffer
         )
-    except ConfigError as err:
-        raise CheckpointError(f"checkpoint replay buffer does not fit this config: {err}") from err
+    except (ConfigError, KeyError, TypeError) as err:
+        raise CheckpointError(f"checkpoint replay buffer does not fit this config: {err!r}") from err
     k = config.population_size
     nets = network_widths(config)
     q, actor, critic = (
         _net(nets[role], k, role == "critic") if role in nets else None for role in ("q", "actor", "critic")
     )
-    population = _part(Population, payload["population"], q, "population")
-    policy = _part(GaussianPolicy, payload["policy"], actor, "policy")
-    twin = _part(TwinCriticPopulation, payload["twin"], critic, "twin")
+    population = _part(Population, get("population"), q, "population")
+    policy = _part(GaussianPolicy, get("policy"), actor, "policy")
+    twin = _part(TwinCriticPopulation, get("twin"), critic, "twin")
     if policy is not None:
         _check_binary(policy.mask, "policy.mask")
-    streams = {}
-    for label, bitgen_state in payload["streams"].items():
-        stream = RngStream(config.seed, label)
-        stream.set_state(bitgen_state)
-        streams[label] = stream
+    labels = SAC_STREAMS if config.is_sac else VALUE_STREAMS
+    states = get("streams")
+    if type(states) is not dict or set(states) != set(labels):
+        got = sorted(map(str, states)) if type(states) is dict else _kind(states)
+        raise CheckpointError(f"checkpoint streams: {got} are not this config's {sorted(labels)}")
+    streams = {label: RngStream(config.seed, label) for label in labels}
+    # a fresh reset shows the dtype and shape env_state must have; set_state
+    # below overwrites the draw it takes
+    reset = env.reset(streams["env"])
+    for label, stream in streams.items():
+        try:
+            stream.set_state(states[label])
+        except (KeyError, OverflowError, TypeError, ValueError) as err:
+            raise CheckpointError(f"checkpoint streams[{label!r}]: not a bit-generator state: {err!r}") from err
+    env_state, obs = get("env_state"), get("obs")
+    if type(env_state) is not np.ndarray or env_state.dtype != reset.dtype or env_state.shape != reset.shape:
+        raise CheckpointError(f"checkpoint env_state: expected {_kind(reset)}, got {_kind(env_state)}")
+    if type(obs) is not np.ndarray or obs.dtype != _F64 or obs.shape != (spec.observation_width,):
+        raise CheckpointError(f"checkpoint obs: expected float64[{spec.observation_width}], got {_kind(obs)}")
+    behaviors = _list(get("logged_behaviors"), "logged_behaviors")
     return TrainState(
         config=config,
         step=step,
         streams=streams,
         buffer=buffer,
-        env_state=payload["env_state"],
-        obs=payload["obs"],
-        episode_return=float(payload["episode_return"]),
-        episode_len=int(payload["episode_len"]),
-        last_episode_return=float(payload["last_episode_return"]),
-        last_eval=float(payload["last_eval"]),
+        env_state=env_state,
+        obs=obs,
+        episode_return=_number(float, get("episode_return"), "episode_return"),
+        episode_len=episode_len,
+        last_episode_return=_number(float, get("last_episode_return"), "last_episode_return"),
+        last_eval=_number(float, get("last_eval"), "last_eval"),
         population=population,
-        logged_champion=int(payload["logged_champion"]),
-        logged_behavior=int(payload["logged_behavior"]),
+        logged_champion=_number(int, get("logged_champion"), "logged_champion"),
+        logged_behavior=_number(int, get("logged_behavior"), "logged_behavior"),
         policy=policy,
         twin=twin,
-        logged_behaviors=tuple(payload["logged_behaviors"]),
+        logged_behaviors=tuple(_number(int, b, "logged_behaviors") for b in behaviors),
     )
 
 

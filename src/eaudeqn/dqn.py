@@ -1,6 +1,6 @@
 """Value-based operations: shared TD targets, member updates, action choice,
 and the scheduled pruning step that every PolyPrune path (DistillQN,
-PolyPruneQN, PolyPrune-SAC) applies to its members.
+PolyPruneQN, PolyPrune-SAC) applies to a population's stack.
 """
 
 from __future__ import annotations
@@ -61,9 +61,12 @@ def distillqn_update(member: Member, schedule: PolyPruneConfig, t: int) -> Membe
     weights zeroed; a member's soft target (actor-critic path) is zeroed under
     the same mask, so pruned weights cannot leak back through it. The
     optimizer is intentionally left intact (only population duplicates get
-    optimizer resets).
+    optimizer resets). A population's stack is pruned in one call, every row
+    to the same target.
     """
     target = poly_schedule(t, schedule)
+    if np.ndim(member.mask_target):
+        target = np.full(len(member.mask_target), target)
     mask = magnitude_mask(member.params, target)
     params = apply_mask(member.params, mask)
     if member.target_params is not None:

@@ -52,7 +52,6 @@ def parse_run_csv(csv_text: str, config, metric: str = "eval_return") -> dict:
     normalized = (raw - config.random_baseline) / denom
     twin = "c1_champion_index" in col
     if twin:
-        k = config.population_size
         sparsity = np.empty(len(rows))
         for j, r in enumerate(rows):
             values = []
@@ -60,7 +59,6 @@ def parse_run_csv(csv_text: str, config, metric: str = "eval_return") -> dict:
                 champ = int(r[col[f"{prefix}champion_index"]])
                 values.append(float(r[col[f"{prefix}sparsity_{champ + 1}"]]))
             sparsity[j] = 0.5 * (values[0] + values[1])
-        del k
     else:
         sparsity = np.array([float(r[col["sparsity_1"]]) for r in rows])
     return {

@@ -205,7 +205,7 @@ def backprop_from_output(
     activations: list[np.ndarray],
     preacts: list[np.ndarray],
     dout: np.ndarray,
-    effective: list[np.ndarray] | None = None,
+    effective: list[np.ndarray],
 ) -> tuple[NetworkParams, np.ndarray]:
     """Reverse pass from a gradient w.r.t. the network output.
 
@@ -222,8 +222,7 @@ def backprop_from_output(
         dz = delta * _activate_grad(spec.activation, preacts[i], activations[i + 1])
         grad_w[i] = (dz.swapaxes(-1, -2) @ activations[i]) * mask.layers[i]
         grad_b[i] = dz.sum(axis=-2)
-        w_eff = effective[i] if effective is not None else params.weights[i] * mask.layers[i]
-        delta = dz @ w_eff
+        delta = dz @ effective[i]
     return NetworkParams(grad_w, grad_b, params.layer_specs), delta
 
 

@@ -45,35 +45,36 @@ def masks_equal(a: Mask, b: Mask) -> bool:
     )
 
 
-def sparsity_of(mask: Mask) -> float:
-    """Fraction of zero entries over all maskable positions."""
-    zeros = sum(int((layer == 0.0).sum()) for layer in mask.layers)
-    total = sum(layer.size for layer in mask.layers)
-    return zeros / total
+def sparsity_of(mask: Mask):
+    """Fraction of zero entries over all maskable positions; a stack's is (K,)."""
+    zeros = sum(np.count_nonzero(layer == 0.0, axis=(-2, -1)) for layer in mask.layers)
+    total = sum(layer.shape[-2] * layer.shape[-1] for layer in mask.layers)
+    fraction = zeros / total
+    return fraction if np.ndim(fraction) else float(fraction)
 
 
-def _zero_count(target: float, count: int) -> int:
-    # round-half-up, not banker's rounding
-    return int(math.floor(target * count + 0.5))
-
-
-def magnitude_mask(params: NetworkParams, target_sparsity: float) -> Mask:
+def magnitude_mask(params: NetworkParams, target_sparsity) -> Mask:
     """Mask dropping the lowest-|w| weights of each layer at the target fraction.
 
     Per layer, exactly round(target * count) entries are zeroed; ties on |w|
-    break toward the lowest flat index (stable sort).
+    break toward the lowest flat index (stable sort). A stack takes one target
+    for every row or a (K,) array of per-row targets, and each row's mask is
+    the one its network alone would get.
     """
-    if not (0.0 <= target_sparsity <= 1.0):
+    targets = np.asarray(target_sparsity, dtype=np.float64)
+    if not ((0.0 <= targets) & (targets <= 1.0)).all():
         raise ConfigError(f"target sparsity must lie in [0, 1], got {target_sparsity}")
     if not params.all_finite():
         raise ConfigError("cannot prune non-finite parameters")
     layers = []
     for w in params.weights:
-        k = _zero_count(target_sparsity, w.size)
-        flat = np.ones(w.size)
-        if k > 0:
-            order = np.argsort(np.abs(w).ravel(), kind="stable")
-            flat[order[:k]] = 0.0
+        rows = np.abs(w).reshape(-1, w.shape[-2] * w.shape[-1])  # one row per network
+        # round-half-up, not banker's rounding
+        zeros = np.floor(targets * rows.shape[1] + 0.5)
+        order = np.argsort(rows, axis=1, kind="stable")
+        keep = np.arange(rows.shape[1]) >= zeros[..., None]  # by rank, then scattered to its position
+        flat = np.empty_like(rows)
+        np.put_along_axis(flat, order, np.broadcast_to(keep, rows.shape), axis=1)
         layers.append(flat.reshape(w.shape))
     return Mask(layers)
 

@@ -34,11 +34,10 @@ from .population import (
     Member,
     Network,
     Population,
-    exploitation,
-    exploration,
     member_gradient_step,
     sample_behavior_index,
     select_target,
+    selection_event,
 )
 from .pruning import EauDeConfig, Mask, apply_mask  # noqa: F401  (perfbench traces the sac.apply_mask binding)
 from .replay import Batch
@@ -280,29 +279,14 @@ def sac_actor_update(
     return replace(policy, params=new_params, optimizer=new_opt), behavior
 
 
-@dataclass
-class SacPruneRecord:
-    critic: int
-    selection: list[int]
-    exploration: list
-
-
 def eaudesac_prune_event(
     twin: TwinCriticPopulation, t: int, t_next: int, cfg: EauDeConfig, rng: RngStream
-) -> tuple[TwinCriticPopulation, list[SacPruneRecord]]:
-    """Exploitation + exploration independently per critic side, then loss resets.
-
-    Duplicated members' soft targets restart from the pruned copy; the
-    champion slot of each side is slot 0 afterwards.
-    """
-    new_sides = []
-    records = []
+) -> tuple[TwinCriticPopulation, list[dict]]:
+    """One selection event per critic side, around its lowest-EMA-loss
+    member; returns each side's log entry, tagged with its critic index."""
+    sides, records = [], []
     for i, side in enumerate(twin.sides):
-        losses = side.losses()
-        champion = select_target(losses)
-        selection = exploitation(losses, champion, cfg, rng)
-        new_pop, recs = exploration(side, selection, t, t_next, cfg, rng)
-        new_pop.champion_index = 0  # the champion occupies slot 0 after the event
-        new_sides.append(new_pop)
-        records.append(SacPruneRecord(critic=i, selection=selection, exploration=recs))
-    return replace(twin, sides=(new_sides[0], new_sides[1])), records
+        side, record = selection_event(side, select_target(side.losses()), t, t_next, cfg, rng)
+        sides.append(side)
+        records.append({"critic": i, **record})
+    return replace(twin, sides=(sides[0], sides[1])), records

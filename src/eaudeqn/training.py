@@ -12,10 +12,12 @@ filled, the family's learning; the family's selection events; scheduled
 (PolyPrune) pruning; evaluation; logging. A family supplies act, learn,
 events, the greedy agent for evaluation, and what is logged. Value-based
 (_ValueBased): one shared-target pass every gradient_period steps, and every
-target_period steps the target-update event (target selection, then
-exploitation, then exploration, then loss resets). Actor-critic
-(_ActorCritic): UTD critic passes plus one actor update per step, and an
-EauDe prune event every prune_period steps.
+target_period steps the target-update event (target selection, then the
+selection event, then loss resets). Actor-critic (_ActorCritic): UTD critic
+passes plus one actor update per step, and an EauDe prune event (one
+selection event per critic side) every prune_period steps. Both families
+build their populations with _fresh_population and select through
+population.selection_event; a scheduled prune is one call per stack.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import hashlib
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -37,14 +39,12 @@ from .nncore import init_adam_state, init_network, mlp_layer_specs
 from .population import (
     Population,
     concat_stacks,
-    exploitation,
-    exploration,
     fresh_member,
     member_digest,
     sample_behavior_index,
     select_target,
+    selection_event,
     split_stack,
-    stack_members,
 )
 from .pruning import Mask, mask_of_ones
 from .replay import ReplayBuffer
@@ -180,26 +180,7 @@ def init_state(config: ExperimentConfig) -> TrainState:
             action_low=env.spec.action_space.low,
             action_high=env.spec.action_space.high,
         )
-        k = config.population_size
-        sides = []
-        for i in range(2):
-            members = []
-            for j in range(k):
-                params = init_network(
-                    mlp_layer_specs(widths["critic"]),
-                    RngStream(config.seed, f"critic/{i}/member/{j}/init"),
-                )
-                if j == 0:  # stacking copies it into every row
-                    opt = init_adam_state(params, config.learning_rate, config.adam_epsilon)
-                members.append(fresh_member(params, opt, lineage_id=j))
-            side = Population(members, None, None, champion_index=0, next_lineage_id=k)
-            # Soft targets start as copies of the stacked critics. Built here
-            # instead of per member, the set-up's transient copies stay small
-            # enough to reuse freed memory (per-member targets and optimizers
-            # cost ~140 fresh pages, about 1 ms, per call on pendulum).
-            stack = side.stack
-            side.stack = replace(stack, target_params=stack.params.copy(), target_mask=stack.mask.copy())
-            sides.append(side)
+        sides = [_fresh_population(config, widths["critic"], f"critic/{i}/member", soft_targets=True) for i in range(2)]
         twin = TwinCriticPopulation(
             sides=(sides[0], sides[1]),
             tau=config.tau,
@@ -209,22 +190,7 @@ def init_state(config: ExperimentConfig) -> TrainState:
         population = None
     else:
         streams = _make_streams(config.seed, VALUE_STREAMS)
-        k = config.population_size
-        members = []
-        for j in range(k):
-            params = init_network(
-                mlp_layer_specs(widths["q"]), RngStream(config.seed, f"member/{j}/init")
-            )
-            opt = init_adam_state(params, config.learning_rate, config.adam_epsilon)
-            members.append(fresh_member(params, opt, lineage_id=j))
-        champion = members[0]
-        population = Population(
-            members=members,
-            target_params=champion.params.copy(),
-            target_mask=champion.mask.copy(),
-            champion_index=0,
-            next_lineage_id=k,
-        )
+        population = _fresh_population(config, widths["q"], "member", soft_targets=False)
         twin = None
         policy = None
     env_state = env.reset(streams["env"])
@@ -243,6 +209,31 @@ def init_state(config: ExperimentConfig) -> TrainState:
         policy=policy,
         twin=twin,
     )
+
+
+def _fresh_population(config: ExperimentConfig, widths, label: str, soft_targets: bool) -> Population:
+    """K freshly initialized members, member j drawn from stream
+    "<label>/<j>/init". With soft_targets every member gets its own soft
+    target (critics); otherwise the population holds one shared target, a
+    copy of member 0."""
+    specs = mlp_layer_specs(widths)
+    members = []
+    for j in range(config.population_size):
+        params = init_network(specs, RngStream(config.seed, f"{label}/{j}/init"))
+        if j == 0:  # stacking copies it into every row
+            opt = init_adam_state(params, config.learning_rate, config.adam_epsilon)
+        members.append(fresh_member(params, opt, lineage_id=j))
+    pop = Population(members, champion_index=0, next_lineage_id=config.population_size)
+    stack = pop.stack
+    if soft_targets:
+        # Soft targets start as copies of the stacked critics. Built here
+        # instead of per member, the set-up's transient copies stay small
+        # enough to reuse freed memory (per-member targets and optimizers
+        # cost ~140 fresh pages, about 1 ms, per call on pendulum).
+        pop.stack = replace(stack, target_params=stack.params.copy(), target_mask=stack.mask.copy())
+    else:
+        pop.target_params, pop.target_mask = stack.params.row(0).copy(), stack.mask.row(0).copy()
+    return pop
 
 
 def evaluate_policy(agent, env, episodes: int, rng: RngStream) -> float:
@@ -392,8 +383,7 @@ def _run(config, state: TrainState, log: RunLog, stop: int, family, clock) -> No
 
 def _prune(pop: Population, pp, t: int, log: RunLog, **tag) -> None:
     """Scheduled magnitude pruning of every member (and its soft target)."""
-    pop.stack = stack_members([distillqn_update(m, pp, t) for m in pop.members])
-    stack = pop.stack
+    pop.stack = stack = distillqn_update(pop.stack, pp, t)
     log.events.append(
         {
             "step": t,
@@ -456,22 +446,10 @@ class _ValueBased:
         if pp is not None and pp.sync_to_target_updates:
             _prune(pop, pp, t, log)
         if is_eaude:
-            selection = exploitation(pop.losses(), psi, config.eaude, state.streams["selection"])
-            log.events.append({"step": t, "kind": "exploitation", "selection": selection})
-            pre_digest = member_digest(pop.member(psi))
             t_next = min(t + config.target_period, config.eaude.t_final)
-            pop, records = exploration(pop, selection, t, t_next, config.eaude, state.streams["selection"])
-            pop.champion_index = 0  # the champion occupies slot 0 after the event
-            state.population = pop
-            log.events.append(
-                {
-                    "step": t,
-                    "kind": "exploration",
-                    "records": [asdict(r) for r in records],
-                    "champion_digest_pre": pre_digest,
-                    "slot0_digest_post": member_digest(pop.member(0)),
-                }
-            )
+            state.population, record = selection_event(pop, psi, t, t_next, config.eaude, state.streams["selection"])
+            log.events.append({"step": t, "kind": "exploitation", "selection": record.pop("selection")})
+            log.events.append({"step": t, "kind": "exploration", **record})
         else:
             # monitoring losses mirror the population reset for comparability
             pop.stack = replace(pop.stack, cumulated_loss=np.zeros(pop.k))
@@ -519,21 +497,9 @@ class _ActorCritic:
         config = self.config
         if config.eaude is None or t % config.prune_period != 0:
             return False
-        pre_digests = [member_digest(side.member(select_target(side.losses()))) for side in state.twin.sides]
         t_next = min(t + config.prune_period, config.eaude.t_final)
         state.twin, records = eaudesac_prune_event(state.twin, t, t_next, config.eaude, state.streams["selection"])
-        for record, pre in zip(records, pre_digests):
-            log.events.append(
-                {
-                    "step": t,
-                    "kind": "sac_prune",
-                    "critic": record.critic,
-                    "selection": record.selection,
-                    "records": [asdict(r) for r in record.exploration],
-                    "champion_digest_pre": pre,
-                    "slot0_digest_post": member_digest(state.twin.sides[record.critic].member(0)),
-                }
-            )
+        log.events.extend({"step": t, "kind": "sac_prune", **record} for record in records)
         return True
 
     def greedy(self, state: TrainState):

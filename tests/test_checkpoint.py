@@ -230,14 +230,57 @@ def payload_blobs():
     }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_NETWORKS))
-def test_malformed_network_rejected(case, payload_blobs):
-    algorithm, path, replace, match = MALFORMED_NETWORKS[case]
+DROP = object()  # a replacement that deletes the entry
+
+# case -> (payload's algorithm, path to a payload entry, its replacement or DROP, error match)
+MALFORMED_STATE = {
+    "member_weights_missing": ("dqn", (*M0, "params", "weights"), lambda w: DROP,
+                               r"population\.members\[0\]\.params: no 'weights' entry"),
+    "mask_record_an_int": ("dqn", (*M0, "mask"), lambda m: 7,
+                           r"population\.members\[0\]\.mask: expected a record, got int"),
+    "last_eval_missing": ("dqn", ("last_eval",), lambda v: DROP, "payload: no 'last_eval' entry"),
+    "loss_a_string": ("dqn", (*M0, "cumulated_loss"), lambda v: "0.5",
+                      r"members\[0\]\.cumulated_loss: expected float, got str"),
+    "config_text_an_int": ("dqn", ("config_text",), lambda t: 5, "config_text: expected str, got int"),
+    "replay_ring_missing": ("dqn", ("buffer", "states"), lambda r: DROP, "replay buffer does not fit"),
+    "stream_missing": ("dqn", ("streams", "replay"), lambda s: DROP,
+                       r"streams: \['behavior', 'env', 'eval', 'explore', 'selection'\] are not this config's"),
+    "stream_extra": ("dqn", ("streams",), lambda s: dict(s, actor=s["env"]),
+                     r"streams: \['actor', .* are not this config's"),
+    "sac_stream_missing": ("eaude_sac", ("streams", "target"), lambda s: DROP, "are not this config's"),
+    "stream_state_garbage": ("dqn", ("streams", "env"), lambda s: {"bit_generator": "PCG64", "state": 3},
+                             r"streams\['env'\]: not a bit-generator state"),
+    "stream_state_a_string": ("dqn", ("streams", "explore"), lambda s: "x", r"streams\['explore'\]"),
+    "obs_cut_to_3": ("dqn", ("obs",), lambda o: o[:3], r"obs: expected float64\[10\], got float64\[3\]"),
+    "obs_float32": ("eaude_sac", ("obs",), lambda o: o.astype(np.float32),
+                    r"obs: expected float64\[3\], got float32\[3\]"),
+    "env_state_a_string": ("dqn", ("env_state",), lambda s: "x", r"env_state: expected float64\[1\], got str"),
+    "env_state_cut": ("eaude_sac", ("env_state",), lambda s: s[:1],
+                      r"env_state: expected float64\[2\], got float64\[1\]"),
+    "negative_episode_len": ("dqn", ("episode_len",), lambda n: -1, "episode_len -1 is negative"),
+}
+
+
+def _assert_rejected(algorithm, path, replace, match, payload_blobs):
     payload_to_state(decode_payload(payload_blobs[algorithm]))  # the unmodified payload loads
     payload = decode_payload(payload_blobs[algorithm])
     parent = payload
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = replace(parent[path[-1]])
+    value = replace(parent[path[-1]])
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
     with pytest.raises(CheckpointError, match=match):
         payload_to_state(payload)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NETWORKS))
+def test_malformed_network_rejected(case, payload_blobs):
+    _assert_rejected(*MALFORMED_NETWORKS[case], payload_blobs)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STATE))
+def test_malformed_state_rejected(case, payload_blobs):
+    _assert_rejected(*MALFORMED_STATE[case], payload_blobs)

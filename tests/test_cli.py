@@ -82,6 +82,22 @@ class TestTrain:
             assert (out / name).exists()
         assert "numeric abort" in capsys.readouterr().err
 
+    def test_resume_from_a_damaged_checkpoint_exits_2(self, tmp_path, capsys):
+        from eaudeqn.checkpoint import encode_payload, state_to_payload
+        from eaudeqn.config import load_config
+        from eaudeqn.training import run_training
+
+        cfg_path = write_config(tmp_path)
+        _, half = run_training(load_config(cfg_path), until_step=300, clock=lambda: 0.0)
+        payload = state_to_payload(half)
+        del payload["population"]["members"][0]["params"]["weights"]
+        damaged = tmp_path / "damaged.ckpt"
+        damaged.write_bytes(encode_payload(payload))
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--resume", str(damaged)])
+        assert code == 2
+        assert "cannot resume: checkpoint population.members[0].params: no 'weights' entry" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_resume_continues_to_completion(self, tmp_path):
         from eaudeqn.config import load_config
         from eaudeqn.training import run_training

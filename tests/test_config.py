@@ -103,10 +103,12 @@ OVERRIDES = {
 def configs(draw):
     algorithm, env = draw(st.sampled_from(VALUE_PAIRS + SAC_PAIRS))
     overrides = draw(st.fixed_dictionaries({"algorithm": st.just(algorithm), "env": st.just(env)}, optional=OVERRIDES))
-    window = ("polyprune.t_start", "polyprune.t_end")
-    if any(key in overrides for key in window):  # set as a pair, else a default end may precede the start
-        for key in window:
-            overrides.setdefault(key, draw(OVERRIDES[key]))
+    # set as pairs, else a default end may precede the start, or a drawn
+    # reference score equal the env's default random baseline
+    for pair in (("polyprune.t_start", "polyprune.t_end"), ("normalize.random_baseline", "normalize.reference_score")):
+        if any(key in overrides for key in pair):
+            for key in pair:
+                overrides.setdefault(key, draw(OVERRIDES[key]))
     if algorithm == "polyprune_sac":  # it has no target updates to sync to
         overrides.pop("polyprune.sync_to_target_updates", None)
     return build_config(overrides)

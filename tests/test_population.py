@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eaudeqn.errors import ConfigError
 from eaudeqn.nncore import init_adam_state, init_network, mlp_layer_specs, params_equal
@@ -15,7 +18,7 @@ from eaudeqn.population import (
     select_target,
     stack_members,
 )
-from eaudeqn.pruning import EauDeConfig, masks_equal, sparsity_of
+from eaudeqn.pruning import EauDeConfig, apply_mask, magnitude_mask, masks_equal, sparsity_of
 from eaudeqn.rng import RngStream
 
 
@@ -245,3 +248,69 @@ class TestMemberGradientStep:
             if after_loss <= before_loss:
                 wins += 1
         assert wins == 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    soft_targets=st.booleans(),
+    frozen=st.booleans(),
+    data=st.data(),
+)
+def test_exploration_under_arbitrary_selections(seed, soft_targets, frozen, data):
+    k = data.draw(st.integers(1, 5))
+    # sources with per-row sparsities, optimizer history and distinct losses
+    pop = make_population(k, seed=seed, with_target=soft_targets)
+    targets = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9]), min_size=k, max_size=k)))
+    mask = magnitude_mask(pop.stack.params, targets)
+    pop.stack = replace(pop.stack, params=apply_mask(pop.stack.params, mask), mask=mask,
+                        sparsity=sparsity_of(mask), mask_target=targets)
+    x = RngStream(seed, "explore/batch").normal(size=(3, 4))
+    pop.stack, _ = member_gradient_step(pop.stack, x, [0, 1, 0], [0.5, -0.5, 1.0])
+    pop.next_lineage_id = k + data.draw(st.integers(0, 3))
+    champion = data.draw(st.integers(0, k - 1))
+    selection = [champion] + data.draw(st.lists(st.integers(0, k - 1), min_size=k - 1, max_size=k - 1))
+    cfg = EauDeConfig(u_max=30.0, s_max=0.5, population_size=k, tournament_size=1, t_final=100)
+    t = 100 if frozen else 10  # at the horizon, duplicates keep the source's target
+    sources = pop.members
+    before = [member_digest(m) for m in sources]
+
+    new_pop, records = exploration(pop, selection, t, 90, cfg, RngStream(seed, "sel"))
+
+    assert [member_digest(m) for m in pop.members] == before  # the sources are left as they were
+    assert new_pop.champion_index == 0 and new_pop.k == k
+    assert new_pop.losses() == [0.0] * k
+    firsts = {}
+    for slot, source in enumerate(selection):
+        firsts.setdefault(source, slot)
+    duplicates = [slot for slot, source in enumerate(selection) if firsts[source] != slot]
+    assert [r.duplicated for r in records] == [slot in duplicates for slot in range(k)]
+    assert [r.source for r in records] == selection
+    fresh_ids = iter(range(pop.next_lineage_id, pop.next_lineage_id + len(duplicates)))
+    for slot, (member, source) in enumerate(zip(new_pop.members, (sources[s] for s in selection))):
+        if slot not in duplicates:
+            assert member_digest(member) == member_digest(source)
+            assert (member.lineage_id, member.sparsity, member.mask_target) == (
+                source.lineage_id, source.sparsity, source.mask_target)
+            if soft_targets:
+                assert params_equal(member.target_params, source.target_params)
+            continue
+        assert member.lineage_id == next(fresh_ids)
+        assert member.mask_target >= source.mask_target
+        if frozen:
+            assert member.mask_target == source.mask_target
+        assert masks_equal(member.mask, magnitude_mask(source.params, member.mask_target))
+        for dup_layer, source_layer in zip(member.mask.layers, source.mask.layers):
+            assert np.all(dup_layer[source_layer == 0.0] == 0.0)
+        assert params_equal(member.params, apply_mask(source.params, member.mask))
+        assert member.sparsity == sparsity_of(member.mask)
+        assert member.optimizer.step_count == 0
+        assert all(not a.any() for a in member.optimizer.m.weights + member.optimizer.m.biases
+                   + member.optimizer.v.weights + member.optimizer.v.biases)
+        if soft_targets:
+            assert params_equal(member.target_params, member.params)
+            assert masks_equal(member.target_mask, member.mask)
+    assert next(fresh_ids, None) is None
+    assert new_pop.next_lineage_id == pop.next_lineage_id + len(duplicates)
+    assert [r.lineage_id for r in records] == [m.lineage_id for m in new_pop.members]
+    assert [r.sparsity for r in records] == [m.sparsity for m in new_pop.members]

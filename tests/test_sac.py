@@ -288,7 +288,7 @@ class TestPruneEvent:
         for side, old_side in zip(new_twin.sides, twin.sides):
             assert side.members[0].cumulated_loss == 0.0
             assert params_equal(side.members[0].params, old_side.members[0].params)
-        assert [r.critic for r in records] == [0, 1]
+        assert [r["critic"] for r in records] == [0, 1]
 
     def test_equal_losses_champion_is_zero(self):
         cfg = EauDeConfig(u_max=3.0, s_max=0.01, population_size=3, tournament_size=2, t_final=1000)
@@ -297,7 +297,7 @@ class TestPruneEvent:
             side.stack.cumulated_loss[:] = 0.5
         _, records = eaudesac_prune_event(twin, 100, 200, cfg, RngStream(1, "sel"))
         for r in records:
-            assert r.selection[0] == 0
+            assert r["selection"][0] == 0
 
     def test_duplicates_at_least_source_sparsity(self):
         cfg = EauDeConfig(u_max=3.0, s_max=0.5, population_size=3, tournament_size=3, t_final=1000)
@@ -306,9 +306,9 @@ class TestPruneEvent:
             side.stack.cumulated_loss[:] = [0.1, 0.2, 0.3]
         new_twin, records = eaudesac_prune_event(twin, 100, 600, cfg, RngStream(2, "sel"))
         for record in records:
-            for rec in record.exploration:
-                if rec.duplicated:
-                    assert rec.sparsity >= rec.source_sparsity
+            for rec in record["records"]:
+                if rec["duplicated"]:
+                    assert rec["sparsity"] >= rec["source_sparsity"]
         for side in new_twin.sides:
             assert side.champion_index == 0
             for m in side.members:

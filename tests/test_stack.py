@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from eaudeqn.dqn import distillqn_update
 from eaudeqn.errors import ConfigError
-from eaudeqn.nncore import forward, init_adam_state, init_network, mlp_layer_specs, params_equal
+from eaudeqn.nncore import NetworkParams, forward, init_adam_state, init_network, mlp_layer_specs, params_equal
 from eaudeqn.population import (
     Population,
     concat_stacks,
@@ -24,7 +24,7 @@ from eaudeqn.population import (
     stack_members,
     stack_row,
 )
-from eaudeqn.pruning import PolyPruneConfig, masks_equal
+from eaudeqn.pruning import PolyPruneConfig, magnitude_mask, masks_equal, sparsity_of
 from eaudeqn.rng import RngStream
 from eaudeqn.sac import train_critic_member
 
@@ -119,3 +119,31 @@ def test_stacked_forward_maps_a_batch_and_refuses_a_single_vector():
         assert np.array_equal(out[k], forward(member.params, member.mask, x))
     with pytest.raises(ConfigError):
         forward(stack.params, stack.mask, x[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    targets=st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0), min_size=1, max_size=5),
+    decimals=st.integers(0, 2),
+    one_target=st.booleans(),
+)
+def test_stacked_mask_equals_per_row_masks(seed, widths, targets, decimals, one_target):
+    specs = mlp_layer_specs(widths)
+    rng = np.random.default_rng(seed)
+    k = len(targets)
+    # rounding to few decimals makes many tied magnitudes, of both signs
+    weights = [np.round(rng.normal(size=(k, s.output_width, s.input_width)), decimals) for s in specs]
+    stack = NetworkParams(weights, [np.zeros((k, s.output_width)) for s in specs], specs)
+    row_targets = [targets[0]] * k if one_target else targets
+
+    mask = magnitude_mask(stack, targets[0] if one_target else np.array(targets))
+    sparsity = sparsity_of(mask)
+
+    assert sparsity.shape == (k,)
+    for row, target in enumerate(row_targets):
+        alone = magnitude_mask(stack.row(row), target)
+        for stacked_layer, layer in zip(mask.layers, alone.layers):
+            assert stacked_layer.dtype == layer.dtype and np.array_equal(stacked_layer[row], layer)
+        assert type(sparsity_of(alone)) is float and sparsity[row] == sparsity_of(alone)
