@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import build_config, canonical_text, config_digest, network_widths, parse_config_text
 from .errors import CheckpointError, ConfigError, DataFormatError
-from .nncore import LayerSpec, NetworkParams, mlp_layer_specs
-from .population import Member, Population
+from .nncore import LayerSpec, Layout, NetworkParams, mlp_layer_specs, spec_layout
+from .population import Member, Population, _map_members
 from .pruning import Mask
 from .replay import ReplayBuffer
 from .rng import RngStream
@@ -208,7 +208,8 @@ def decode_payload(blob: bytes) -> dict:
 # fields, led by their type hints, and checks every network array against the
 # config before any state is returned. A missing entry or a value of the wrong
 # type anywhere in the payload is a CheckpointError, never a KeyError or a
-# TypeError.
+# TypeError. A population's member records are checked first and then
+# written straight into the stack's buffers, one (K, P) buffer per field.
 
 _F64 = np.dtype(np.float64)
 _PLAIN = {float, int, bool, str, type(None), np.ndarray}  # stored as they are
@@ -254,16 +255,20 @@ class _Net(NamedTuple):
 
     specs: tuple[LayerSpec, ...]
     spec_records: list
-    weight_shapes: list
-    bias_shapes: list
+    layout: Layout
     population_size: int
     soft_targets: bool  # critics: a soft target per member and no shared target
+
+    def params(self, flat: np.ndarray) -> NetworkParams:
+        return NetworkParams.of(flat, self.specs)
+
+    def mask(self, flat: np.ndarray) -> Mask:
+        return Mask.of(flat, self.layout)
 
 
 def _net(widths, population_size: int, soft_targets: bool) -> _Net:
     specs = mlp_layer_specs(widths)
-    shapes = [(s.output_width, s.input_width) for s in specs]
-    return _Net(specs, _spec_records(specs), shapes, [shape[:1] for shape in shapes], population_size, soft_targets)
+    return _Net(specs, _spec_records(specs), spec_layout(specs), population_size, soft_targets)
 
 
 def _kind(value) -> str:
@@ -302,7 +307,7 @@ def _number(hint, value, where: str, name: str | None = None):
     return hint(value)
 
 
-def _arrays(arrays, shapes: list, where: str) -> list:
+def _arrays(arrays, shapes: tuple, where: str) -> list:
     """The record's arrays, if there is one float64 array of each expected shape."""
     if len(_list(arrays, where)) != len(shapes):
         raise CheckpointError(f"checkpoint {where}: {len(arrays)} arrays for {len(shapes)} layers")
@@ -312,24 +317,44 @@ def _arrays(arrays, shapes: list, where: str) -> list:
     return list(arrays)
 
 
-def _restore(hint, record, net: _Net, where: str):
+class _Arrays(NamedTuple):
+    """A member's network or mask as its checked arrays in buffer order, not
+    yet packed: stacking the members (_map_members) packs every member's
+    arrays into one (K, P) buffer at once."""
+
+    flat: list
+    like: typing.Callable  # wraps the packed buffer: _Net.params or _Net.mask
+
+
+def _stack_rows(*values):
+    """Stack the members' values: arrays into one buffer, scalars into (K,)."""
+    if type(values[0]) is list:
+        return np.concatenate([a for arrays in values for a in arrays], axis=None).reshape(len(values), -1)
+    return np.array(values)
+
+
+def _restore(hint, record, net: _Net, where: str, unpacked: bool = False):
     """Rebuild a value of type `hint` from its record, refusing what does not
     fit the config: network arrays that do not match `net`, negative int
     fields, and populations whose member count, champion index, lineage ids,
-    targets or masks do not fit."""
+    targets or masks do not fit. With `unpacked`, networks and masks come
+    back as _Arrays."""
     if isinstance(hint, types.GenericAlias):  # a fixed-length tuple
         hints = typing.get_args(hint)
         if len(_list(record, where)) != len(hints):
             raise CheckpointError(f"checkpoint {where}: {len(record)} entries, expected {len(hints)}")
         return tuple(_restore(h, r, net, f"{where}[{i}]") for i, (h, r) in enumerate(zip(hints, record)))
     record = _fields(record, _keys(hint), where)
-    if hint is NetworkParams:
-        if record["specs"] != net.spec_records:
-            raise CheckpointError(f"checkpoint {where}: layer specs {record['specs']} are not {net.spec_records}")
-        weights = _arrays(record["weights"], net.weight_shapes, f"{where}.weights")
-        return NetworkParams(weights, _arrays(record["biases"], net.bias_shapes, f"{where}.biases"), net.specs)
-    if hint is Mask:
-        return Mask(_arrays(record["layers"], net.weight_shapes, f"{where}.layers"))
+    if hint is NetworkParams or hint is Mask:
+        if hint is Mask:
+            arrays, wrap = _arrays(record["layers"], net.layout.weight_shapes, f"{where}.layers"), net.mask
+        else:
+            if record["specs"] != net.spec_records:
+                raise CheckpointError(f"checkpoint {where}: layer specs {record['specs']} are not {net.spec_records}")
+            arrays = _arrays(record["weights"], net.layout.weight_shapes, f"{where}.weights")
+            arrays += _arrays(record["biases"], net.layout.bias_shapes, f"{where}.biases")
+            wrap = net.params
+        return _Arrays(arrays, wrap) if unpacked else wrap(np.concatenate(arrays, axis=None))
     kwargs = {}
     for name, field_hint, optional in _plan(hint):
         value = record[name]
@@ -342,14 +367,14 @@ def _restore(hint, record, net: _Net, where: str):
         elif optional and value is None:
             kwargs[name] = None
         else:
-            kwargs[name] = _restore(field_hint, value, net, f"{where}.{name}")
+            kwargs[name] = _restore(field_hint, value, net, f"{where}.{name}", unpacked)
     if hint is not Population:
         return hint(**kwargs)
     k = net.population_size
     records = _list(record["members"], f"{where}.members")
     if len(records) != k:
         raise CheckpointError(f"checkpoint {where}: {len(records)} members, the config has {k}")
-    members = [_restore(Member, m, net, f"{where}.members[{i}]") for i, m in enumerate(records)]
+    members = [_restore(Member, m, net, f"{where}.members[{i}]", unpacked=True) for i, m in enumerate(records)]
     if kwargs["champion_index"] >= k:
         raise CheckpointError(f"checkpoint {where}: champion_index {kwargs['champion_index']} outside [0, {k})")
     if any(m.lineage_id >= kwargs["next_lineage_id"] for m in members):
@@ -359,16 +384,18 @@ def _restore(hint, record, net: _Net, where: str):
     if soft != {net.soft_targets} or shared != {not net.soft_targets}:
         wanted = "a soft target per member" if net.soft_targets else "one shared target"
         raise CheckpointError(f"checkpoint {where}: this config's population has {wanted} and no other")
-    pop = Population(members, **kwargs)
-    _check_binary(pop.stack.mask, f"{where}.members[*].mask")  # one check per stacked layer
-    _check_binary(pop.stack.target_mask, f"{where}.members[*].target_mask")
-    _check_binary(pop.target_mask, f"{where}.target_mask")
-    return pop
+    stack = _map_members(_stack_rows, *members)
+    _check_binary(stack.mask, f"{where}.members[*].mask")  # one check per stack
+    _check_binary(stack.target_mask, f"{where}.members[*].target_mask")
+    _check_binary(kwargs["target_mask"], f"{where}.target_mask")
+    return Population.from_stack(stack, **kwargs)
 
 
 def _check_binary(mask: Mask | None, where: str) -> None:
     """Refuse a mask, or a stack of member masks, holding values other than 0 and 1."""
-    for i, layer in enumerate(() if mask is None else mask.layers):
+    if mask is None or ((mask.flat == 0.0) | (mask.flat == 1.0)).all():
+        return
+    for i, layer in enumerate(mask.layers):
         bad = (layer != 0.0) & (layer != 1.0)
         if bad.any():
             at = np.argwhere(bad)[0].tolist()
@@ -467,7 +494,16 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         raise CheckpointError(f"checkpoint env_state: expected {_kind(reset)}, got {_kind(env_state)}")
     if type(obs) is not np.ndarray or obs.dtype != _F64 or obs.shape != (spec.observation_width,):
         raise CheckpointError(f"checkpoint obs: expected float64[{spec.observation_width}], got {_kind(obs)}")
+
+    def index(value, where: str) -> int:  # a member index into a population
+        value = _number(int, value, where)
+        if not 0 <= value < k:
+            raise CheckpointError(f"checkpoint {where}: {value} outside [0, {k})")
+        return value
+
     behaviors = _list(get("logged_behaviors"), "logged_behaviors")
+    if len(behaviors) != 2:
+        raise CheckpointError(f"checkpoint logged_behaviors: {len(behaviors)} entries, expected 2")
     return TrainState(
         config=config,
         step=step,
@@ -480,11 +516,11 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         last_episode_return=_number(float, get("last_episode_return"), "last_episode_return"),
         last_eval=_number(float, get("last_eval"), "last_eval"),
         population=population,
-        logged_champion=_number(int, get("logged_champion"), "logged_champion"),
-        logged_behavior=_number(int, get("logged_behavior"), "logged_behavior"),
+        logged_champion=index(get("logged_champion"), "logged_champion"),
+        logged_behavior=index(get("logged_behavior"), "logged_behavior"),
         policy=policy,
         twin=twin,
-        logged_behaviors=tuple(_number(int, b, "logged_behaviors") for b in behaviors),
+        logged_behaviors=(index(behaviors[0], "logged_behaviors[0]"), index(behaviors[1], "logged_behaviors[1]")),
     )
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -90,26 +91,17 @@ def _map_members(fn, *members: Member) -> Member:
     first member.
     """
 
-    def nets(ps):
-        if ps[0] is None:
-            return None
-        return NetworkParams(
-            [fn(*ws) for ws in zip(*(p.weights for p in ps))],
-            [fn(*bs) for bs in zip(*(p.biases for p in ps))],
-            ps[0].layer_specs,
-        )
-
-    def masks(ms):
-        return None if ms[0] is None else Mask([fn(*ls) for ls in zip(*(m.layers for m in ms))])
+    def buffers(xs):  # a network's or a mask's buffer
+        return None if xs[0] is None else xs[0].like(fn(*(x.flat for x in xs)))
 
     opts = [m.optimizer for m in members]
     first = opts[0]
     return Member(
-        params=nets([m.params for m in members]),
-        mask=masks([m.mask for m in members]),
+        params=buffers([m.params for m in members]),
+        mask=buffers([m.mask for m in members]),
         optimizer=AdamState(
-            nets([o.m for o in opts]),
-            nets([o.v for o in opts]),
+            buffers([o.m for o in opts]),
+            buffers([o.v for o in opts]),
             fn(*(o.step_count for o in opts)),
             first.learning_rate,
             first.epsilon,
@@ -120,8 +112,8 @@ def _map_members(fn, *members: Member) -> Member:
         sparsity=fn(*(m.sparsity for m in members)),
         lineage_id=fn(*(m.lineage_id for m in members)),
         mask_target=fn(*(m.mask_target for m in members)),
-        target_params=nets([m.target_params for m in members]),
-        target_mask=masks([m.target_mask for m in members]),
+        target_params=buffers([m.target_params for m in members]),
+        target_mask=buffers([m.target_mask for m in members]),
     )
 
 
@@ -197,6 +189,21 @@ class Population:
         self.champion_index = champion_index
         self.next_lineage_id = next_lineage_id
 
+    @classmethod
+    def from_stack(
+        cls,
+        stack: Member,
+        target_params: NetworkParams | None = None,
+        target_mask: Mask | None = None,
+        champion_index: int = 0,
+        next_lineage_id: int = 0,
+    ) -> "Population":
+        """A population around an existing stack (not copied)."""
+        pop = object.__new__(cls)
+        pop.stack, pop.target_params, pop.target_mask = stack, target_params, target_mask
+        pop.champion_index, pop.next_lineage_id = champion_index, next_lineage_id
+        return pop
+
     @property
     def k(self) -> int:
         return len(self.stack.lineage_id)
@@ -221,6 +228,15 @@ class Population:
         return self.stack.cumulated_loss.tolist()
 
 
+def evolve(obj, **changes):
+    """A copy of the dataclass instance obj with `changes`: what
+    dataclasses.replace gives, without its per-call walk over the fields and
+    __init__ (a gradient step makes one per population)."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **changes)
+    return new
+
+
 def fresh_member(params: NetworkParams, optimizer: AdamState, lineage_id: int, with_target: bool = False) -> Member:
     mask = mask_of_ones(params)
     return Member(
@@ -239,12 +255,9 @@ def fresh_member(params: NetworkParams, optimizer: AdamState, lineage_id: int, w
 def member_digest(member: Member) -> str:
     """Hash of params, mask, and optimizer; used for bit-exactness checks."""
     h = hashlib.sha256()
-    for arr in member.params.weights + member.params.biases + member.mask.layers:
-        h.update(arr.tobytes())
-    for arr in member.optimizer.m.weights + member.optimizer.m.biases:
-        h.update(arr.tobytes())
-    for arr in member.optimizer.v.weights + member.optimizer.v.biases:
-        h.update(arr.tobytes())
+    # each buffer's bytes are its layers' weights, then its biases, in order
+    for buffer in (member.params, member.mask, member.optimizer.m, member.optimizer.v):
+        h.update(buffer.flat.tobytes())
     h.update(member.optimizer.step_count.to_bytes(8, "little"))
     return h.hexdigest()
 
@@ -269,10 +282,9 @@ def member_gradient_step(member: Member, inputs, action_indices, targets) -> tup
     loss, grad = td_loss_and_grad(member.params, member.mask, inputs, action_indices, targets)
     check_finite_loss(loss, member)
     new_params, new_opt = adam_step(member.params, grad, member.optimizer)
-    new_params = apply_mask(new_params, member.mask)
-    updated = replace(
+    updated = evolve(
         member,
-        params=new_params,
+        params=apply_mask(new_params, member.mask),
         optimizer=new_opt,
         cumulated_loss=member.cumulated_loss + loss,
     )
@@ -295,7 +307,14 @@ def behavior_distribution(losses) -> np.ndarray:
 
 
 def sample_behavior_index(losses, rng: RngStream) -> int:
-    return int(rng.choice(len(losses), p=behavior_distribution(losses)))
+    """One draw from behavior_distribution: the same index, from the same
+    single uniform draw, as Generator.choice(len(losses), p=...), in less
+    time. A non-finite distribution (a NaN loss) is a NonFiniteError."""
+    cdf = behavior_distribution(losses).cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise NonFiniteError(f"non-finite behavior distribution from losses {list(losses)}")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def select_target(losses) -> int:

@@ -1,11 +1,12 @@
 """Binary weight masks, magnitude pruning, and the two sparsity schedules.
 
-Masks mirror the weight matrices of one network; bias vectors carry no mask.
-Magnitude pruning is applied per layer: each weight matrix is pruned to the
-target fraction independently, which keeps high global sparsity from wiping
-out the small output layer. Zero counts use round-half-up of target * count,
-and magnitude ties break toward the lowest flat index, so masks are fully
-deterministic.
+A mask covers the weight matrices of one network (or a stack's): one float64
+buffer laid out like the network buffer's weight prefix (see nncore), so
+masking is one multiply; bias vectors carry no mask. Magnitude pruning is
+applied per layer: each weight matrix is pruned to the target fraction
+independently, which keeps high global sparsity from wiping out the small
+output layer. Zero counts use round-half-up of target * count, and magnitude
+ties break toward the lowest flat index, so masks are fully deterministic.
 """
 
 from __future__ import annotations
@@ -16,40 +17,66 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ScheduleExhaustedError
-from .nncore import NetworkParams
+from .nncore import Layout, LayerViews, NetworkParams, check_mask, layer_views, layout, pack
 from .rng import RngStream
 
 
-@dataclass
+@dataclass(init=False)
 class Mask:
-    """Per-layer 0/1 matrices matching one network's weight shapes (or a
-    stack's, with the same leading (K,) axis)."""
+    """0/1 entries over one network's weights in one float64 buffer, `flat`:
+    (W,), or (K, W) for a stack, laid out like the network's weight prefix.
+
+    `layers` are per-layer views into the buffer, built on first use, shaped
+    like the weight matrices (with the stack's leading (K,) axis). The
+    constructor copies per-layer arrays into a new buffer; `like` wraps a
+    buffer without copying.
+    """
 
     layers: list[np.ndarray]
 
+    def __init__(self, layers):
+        lay = layout(tuple(tuple(np.shape(m)[-2:]) for m in layers))
+        self._wrap(pack(layers, lay.weight_shapes), lay)
+
+    def _wrap(self, flat: np.ndarray, lay: Layout) -> "Mask":
+        self.flat, self.layout, self._layers = flat, lay, None
+        return self
+
+    @classmethod
+    def of(cls, flat: np.ndarray, lay: Layout) -> "Mask":
+        """The mask with this layout around the buffer `flat` (not copied)."""
+        return object.__new__(cls)._wrap(flat, lay)
+
+    def like(self, flat: np.ndarray) -> "Mask":
+        """A mask of this one's shape around `flat` (not copied)."""
+        return Mask.of(flat, self.layout)
+
+    @property
+    def layers(self) -> LayerViews:
+        if self._layers is None:
+            self._layers = layer_views(self.flat, self.layout.weight_slices, self.layout.weight_shapes)
+        return self._layers
+
     def copy(self) -> "Mask":
-        return Mask([m.copy() for m in self.layers])
+        return self.like(self.flat.copy())
 
     def row(self, k: int) -> "Mask":
-        """Mask k of a stack, as views into the stack's arrays."""
-        return Mask([m[k] for m in self.layers])
+        """Mask k of a stack, as a view into the stack's buffer."""
+        return self.like(self.flat[k])
 
 
 def mask_of_ones(params: NetworkParams) -> Mask:
-    return Mask([np.ones_like(w) for w in params.weights])
+    lay = params.layout
+    return Mask.of(np.ones(params.flat.shape[:-1] + (lay.n_weights,)), lay)
 
 
 def masks_equal(a: Mask, b: Mask) -> bool:
-    return len(a.layers) == len(b.layers) and all(
-        np.array_equal(x, y) for x, y in zip(a.layers, b.layers)
-    )
+    return a.layout.weight_shapes == b.layout.weight_shapes and np.array_equal(a.flat, b.flat)
 
 
 def sparsity_of(mask: Mask):
     """Fraction of zero entries over all maskable positions; a stack's is (K,)."""
-    zeros = sum(np.count_nonzero(layer == 0.0, axis=(-2, -1)) for layer in mask.layers)
-    total = sum(layer.shape[-2] * layer.shape[-1] for layer in mask.layers)
-    fraction = zeros / total
+    fraction = np.count_nonzero(mask.flat == 0.0, axis=-1) / mask.layout.n_weights
     return fraction if np.ndim(fraction) else float(fraction)
 
 
@@ -66,31 +93,28 @@ def magnitude_mask(params: NetworkParams, target_sparsity) -> Mask:
         raise ConfigError(f"target sparsity must lie in [0, 1], got {target_sparsity}")
     if not params.all_finite():
         raise ConfigError("cannot prune non-finite parameters")
-    layers = []
-    for w in params.weights:
-        rows = np.abs(w).reshape(-1, w.shape[-2] * w.shape[-1])  # one row per network
+    lay = params.layout
+    lead = params.flat.shape[:-1]
+    flat = np.empty(lead + (lay.n_weights,))
+    for sl in lay.weight_slices:
+        rows = np.abs(params.flat[..., sl]).reshape(-1, sl.stop - sl.start)  # one row per network
         # round-half-up, not banker's rounding
         zeros = np.floor(targets * rows.shape[1] + 0.5)
         order = np.argsort(rows, axis=1, kind="stable")
         keep = np.arange(rows.shape[1]) >= zeros[..., None]  # by rank, then scattered to its position
-        flat = np.empty_like(rows)
-        np.put_along_axis(flat, order, np.broadcast_to(keep, rows.shape), axis=1)
-        layers.append(flat.reshape(w.shape))
-    return Mask(layers)
+        scattered = np.empty_like(rows)
+        np.put_along_axis(scattered, order, np.broadcast_to(keep, rows.shape), axis=1)
+        flat[..., sl] = scattered.reshape(lead + (rows.shape[1],))
+    return Mask.of(flat, lay)
 
 
 def apply_mask(params: NetworkParams, mask: Mask) -> NetworkParams:
-    """Element-wise product on weights; biases untouched."""
-    if len(mask.layers) != len(params.weights):
-        raise ConfigError("mask layer count does not match network")
-    for i, (w, m) in enumerate(zip(params.weights, mask.layers)):
-        if w.shape != m.shape:
-            raise ConfigError(f"layer {i}: mask shape {m.shape} != weight shape {w.shape}")
-    return NetworkParams(
-        [w * m for w, m in zip(params.weights, mask.layers)],
-        [b.copy() for b in params.biases],
-        params.layer_specs,
-    )
+    """Element-wise product on weights, one multiply over the buffer's weight
+    prefix; biases untouched."""
+    check_mask(params, mask)
+    flat = params.flat.copy()
+    flat[..., : params.layout.n_weights] *= mask.flat
+    return params.like(flat)
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,18 @@ class ReplayBuffer:
         self.observation_width = int(observation_width)
         self.action_space = action_space
         self.insert_count = 0
-        for key, shape, dtype in self._rings():
-            setattr(self, f"_{key}", np.zeros(shape, dtype=dtype))
+        # One zeroed block holds every ring. Freeing a block that large makes
+        # glibc raise its heap trim threshold above a buffer's size, so later
+        # set-ups and checkpoint loads in the process reuse freed pages; with
+        # one allocation per ring, repeated pendulum set-ups and loads could
+        # settle into trimming and re-faulting ~1,100 pages each time.
+        rings = self._rings()
+        sizes = [int(np.prod(shape)) * dtype.itemsize for _, shape, dtype in rings]
+        block = np.zeros(sum(sizes), dtype=np.uint8)
+        offset = 0
+        for (key, shape, dtype), size in zip(rings, sizes):
+            setattr(self, f"_{key}", block[offset : offset + size].view(dtype).reshape(shape))
+            offset += size
 
     def _rings(self) -> list[tuple[str, tuple, np.dtype]]:
         """(state_dict key, shape, dtype) of each ring; the attribute is _key."""

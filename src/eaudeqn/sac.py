@@ -34,6 +34,7 @@ from .population import (
     Member,
     Network,
     Population,
+    evolve,
     member_gradient_step,
     sample_behavior_index,
     select_target,
@@ -175,12 +176,9 @@ def sac_critic_targets(
 
 
 def soft_update(target_params: NetworkParams, online_params: NetworkParams, tau: float) -> NetworkParams:
-    """Element-wise convex combination tau*online + (1-tau)*target."""
-    return NetworkParams(
-        [tau * w + (1.0 - tau) * t for t, w in zip(target_params.weights, online_params.weights)],
-        [tau * b + (1.0 - tau) * t for t, b in zip(target_params.biases, online_params.biases)],
-        online_params.layer_specs,
-    )
+    """Element-wise convex combination tau*online + (1-tau)*target, over the
+    whole buffer at once."""
+    return online_params.like(tau * online_params.flat + (1.0 - tau) * target_params.flat)
 
 
 def ema_loss_update(loss_ema: float, batch_loss: float, tau: float) -> float:
@@ -196,7 +194,7 @@ def train_critic_member(member: Member, inputs: np.ndarray, targets: np.ndarray,
     for every row, with a (K,) loss)."""
     zeros = np.zeros(inputs.shape[0], dtype=np.int64)
     stepped, loss = member_gradient_step(member, inputs, zeros, targets)
-    updated = replace(
+    updated = evolve(
         stepped,
         target_params=soft_update(member.target_params, stepped.params, tau),
         cumulated_loss=ema_loss_update(member.cumulated_loss, loss, tau),
@@ -245,8 +243,12 @@ def actor_objective_and_grad(
 
     # dJ/da routed through whichever critic attains the minimum per sample
     obs_w = states2d.shape[1]
-    _, din_a = backprop_from_output(critic_a.params, critic_a.mask, acts_a, pre_a, take_a[:, None], eff_a)
-    _, din_b = backprop_from_output(critic_b.params, critic_b.mask, acts_b, pre_b, (1.0 - take_a)[:, None], eff_b)
+    _, din_a = backprop_from_output(
+        critic_a.params, critic_a.mask, acts_a, pre_a, take_a[:, None], eff_a, param_grads=False
+    )
+    _, din_b = backprop_from_output(
+        critic_b.params, critic_b.mask, acts_b, pre_b, (1.0 - take_a)[:, None], eff_b, param_grads=False
+    )
     d_actions = (din_a + din_b)[:, obs_w:]
 
     # d log pi / du = 2*tanh(u); da/du = half_range * (1 - tanh(u)^2)
@@ -255,7 +257,7 @@ def actor_objective_and_grad(
     d_log_std = d_u * (std * noise) + alpha  # +alpha from the -log_std entropy term
     d_log_std = d_log_std * inside  # clamp blocks the gradient at the rails
     dout = np.concatenate([d_mean, d_log_std], axis=1)
-    grad, _ = backprop_from_output(policy.params, policy.mask, activations, preacts, dout, eff)
+    grad, _ = backprop_from_output(policy.params, policy.mask, activations, preacts, dout, eff, input_grad=False)
     return objective, grad
 
 
@@ -274,9 +276,8 @@ def sac_actor_update(
     noise = rng.normal(size=(batch.states.shape[0], policy.action_dim))
     _, grad = actor_objective_and_grad(policy, critic_a, critic_b, batch.states, alpha, noise)
     # ascent: descend on -J
-    neg = NetworkParams([-w for w in grad.weights], [-b for b in grad.biases], grad.layer_specs)
-    new_params, new_opt = adam_step(policy.params, neg, policy.optimizer)
-    return replace(policy, params=new_params, optimizer=new_opt), behavior
+    new_params, new_opt = adam_step(policy.params, grad.like(-grad.flat), policy.optimizer)
+    return evolve(policy, params=new_params, optimizer=new_opt), behavior
 
 
 def eaudesac_prune_event(

@@ -131,10 +131,7 @@ def _fmt(x: float) -> str:
 
 
 def mask_digest(mask: Mask) -> str:
-    h = hashlib.sha256()
-    for layer in mask.layers:
-        h.update(layer.tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(mask.flat.tobytes()).hexdigest()  # the layers' bytes, in order
 
 
 @dataclass

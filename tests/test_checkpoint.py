@@ -258,6 +258,13 @@ MALFORMED_STATE = {
     "env_state_cut": ("eaude_sac", ("env_state",), lambda s: s[:1],
                       r"env_state: expected float64\[2\], got float64\[1\]"),
     "negative_episode_len": ("dqn", ("episode_len",), lambda n: -1, "episode_len -1 is negative"),
+    "logged_champion_outside": ("dqn", ("logged_champion",), lambda i: 99, r"logged_champion: 99 outside \[0, 1\)"),
+    "logged_behavior_negative": ("eaude_dqn", ("logged_behavior",), lambda i: -1,
+                                 r"logged_behavior: -1 outside \[0, 5\)"),
+    "logged_behaviors_three": ("dqn", ("logged_behaviors",), lambda b: [5, 6, 7],
+                               "logged_behaviors: 3 entries, expected 2"),
+    "logged_behaviors_outside": ("eaude_sac", ("logged_behaviors",), lambda b: [0, 2],
+                                 r"logged_behaviors\[1\]: 2 outside \[0, 2\)"),
 }
 
 

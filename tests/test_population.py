@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaudeqn.errors import ConfigError
+from eaudeqn.errors import ConfigError, NonFiniteError
 from eaudeqn.nncore import init_adam_state, init_network, mlp_layer_specs, params_equal
 from eaudeqn.population import (
     Population,
@@ -69,6 +69,19 @@ class TestBehaviorDistribution:
         a = [sample_behavior_index(losses, RngStream(9, "b")) for _ in range(5)]
         b = [sample_behavior_index(losses, RngStream(9, "b")) for _ in range(5)]
         assert a == b
+
+    def test_sampling_draws_what_generator_choice_draws(self):
+        draws = RngStream(4, "losses")
+        ours, theirs = RngStream(5, "b"), RngStream(5, "b")
+        for trial in range(2000):
+            k = int(draws.integers(1, 7))
+            losses = np.zeros(k) if trial % 5 == 0 else draws.uniform(0.0, 3.0, size=k) ** 4
+            assert sample_behavior_index(losses, ours) == int(theirs.choice(k, p=behavior_distribution(losses)))
+        assert ours.get_state() == theirs.get_state()
+
+    def test_a_nan_loss_is_a_non_finite_error(self):
+        with pytest.raises(NonFiniteError):
+            sample_behavior_index([0.5, float("nan")], RngStream(9, "b"))
 
 
 class TestSelectTarget:
