@@ -23,7 +23,7 @@ import numpy as np
 from .config import build_config, canonical_text, config_digest, network_widths, parse_config_text
 from .errors import CheckpointError, ConfigError, DataFormatError
 from .nncore import LayerSpec, Layout, NetworkParams, mlp_layer_specs, spec_layout
-from .population import Member, Population, _map_members
+from .population import Member, Population
 from .pruning import Mask
 from .replay import ReplayBuffer
 from .rng import RngStream
@@ -208,8 +208,8 @@ def decode_payload(blob: bytes) -> dict:
 # fields, led by their type hints, and checks every network array against the
 # config before any state is returned. A missing entry or a value of the wrong
 # type anywhere in the payload is a CheckpointError, never a KeyError or a
-# TypeError. A population's member records are checked first and then
-# written straight into the stack's buffers, one (K, P) buffer per field.
+# TypeError. A population's member records are restored as plain Members,
+# like every other record, and Population(members, ...) stacks them.
 
 _F64 = np.dtype(np.float64)
 _PLAIN = {float, int, bool, str, type(None), np.ndarray}  # stored as they are
@@ -317,28 +317,11 @@ def _arrays(arrays, shapes: tuple, where: str) -> list:
     return list(arrays)
 
 
-class _Arrays(NamedTuple):
-    """A member's network or mask as its checked arrays in buffer order, not
-    yet packed: stacking the members (_map_members) packs every member's
-    arrays into one (K, P) buffer at once."""
-
-    flat: list
-    like: typing.Callable  # wraps the packed buffer: _Net.params or _Net.mask
-
-
-def _stack_rows(*values):
-    """Stack the members' values: arrays into one buffer, scalars into (K,)."""
-    if type(values[0]) is list:
-        return np.concatenate([a for arrays in values for a in arrays], axis=None).reshape(len(values), -1)
-    return np.array(values)
-
-
-def _restore(hint, record, net: _Net, where: str, unpacked: bool = False):
+def _restore(hint, record, net: _Net, where: str):
     """Rebuild a value of type `hint` from its record, refusing what does not
     fit the config: network arrays that do not match `net`, negative int
     fields, and populations whose member count, champion index, lineage ids,
-    targets or masks do not fit. With `unpacked`, networks and masks come
-    back as _Arrays."""
+    targets or masks do not fit."""
     if isinstance(hint, types.GenericAlias):  # a fixed-length tuple
         hints = typing.get_args(hint)
         if len(_list(record, where)) != len(hints):
@@ -354,7 +337,7 @@ def _restore(hint, record, net: _Net, where: str, unpacked: bool = False):
             arrays = _arrays(record["weights"], net.layout.weight_shapes, f"{where}.weights")
             arrays += _arrays(record["biases"], net.layout.bias_shapes, f"{where}.biases")
             wrap = net.params
-        return _Arrays(arrays, wrap) if unpacked else wrap(np.concatenate(arrays, axis=None))
+        return wrap(np.concatenate(arrays, axis=None))
     kwargs = {}
     for name, field_hint, optional in _plan(hint):
         value = record[name]
@@ -367,14 +350,14 @@ def _restore(hint, record, net: _Net, where: str, unpacked: bool = False):
         elif optional and value is None:
             kwargs[name] = None
         else:
-            kwargs[name] = _restore(field_hint, value, net, f"{where}.{name}", unpacked)
+            kwargs[name] = _restore(field_hint, value, net, f"{where}.{name}")
     if hint is not Population:
         return hint(**kwargs)
     k = net.population_size
     records = _list(record["members"], f"{where}.members")
     if len(records) != k:
         raise CheckpointError(f"checkpoint {where}: {len(records)} members, the config has {k}")
-    members = [_restore(Member, m, net, f"{where}.members[{i}]", unpacked=True) for i, m in enumerate(records)]
+    members = [_restore(Member, m, net, f"{where}.members[{i}]") for i, m in enumerate(records)]
     if kwargs["champion_index"] >= k:
         raise CheckpointError(f"checkpoint {where}: champion_index {kwargs['champion_index']} outside [0, {k})")
     if any(m.lineage_id >= kwargs["next_lineage_id"] for m in members):
@@ -384,11 +367,12 @@ def _restore(hint, record, net: _Net, where: str, unpacked: bool = False):
     if soft != {net.soft_targets} or shared != {not net.soft_targets}:
         wanted = "a soft target per member" if net.soft_targets else "one shared target"
         raise CheckpointError(f"checkpoint {where}: this config's population has {wanted} and no other")
-    stack = _map_members(_stack_rows, *members)
+    population = Population(members, **kwargs)
+    stack = population.stack
     _check_binary(stack.mask, f"{where}.members[*].mask")  # one check per stack
     _check_binary(stack.target_mask, f"{where}.members[*].target_mask")
     _check_binary(kwargs["target_mask"], f"{where}.target_mask")
-    return Population.from_stack(stack, **kwargs)
+    return population
 
 
 def _check_binary(mask: Mask | None, where: str) -> None:

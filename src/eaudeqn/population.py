@@ -123,30 +123,9 @@ def stack_members(members: list[Member]) -> Member:
 
 
 def stack_row(stack: Member, k: int) -> Member:
-    """Row k of a stack: its arrays are views into the stack, its scalars copies."""
-    # written out, not via _map_members: every checkpoint write builds K rows
-    # per side, and the generic map made state_to_payload on pendulum about
-    # 1.7x slower (455 -> 800 us median)
-    opt = stack.optimizer
-    return Member(
-        params=stack.params.row(k),
-        mask=stack.mask.row(k),
-        optimizer=AdamState(
-            opt.m.row(k),
-            opt.v.row(k),
-            int(opt.step_count[k]),
-            opt.learning_rate,
-            opt.epsilon,
-            opt.beta1,
-            opt.beta2,
-        ),
-        cumulated_loss=float(stack.cumulated_loss[k]),
-        sparsity=float(stack.sparsity[k]),
-        lineage_id=int(stack.lineage_id[k]),
-        mask_target=float(stack.mask_target[k]),
-        target_params=None if stack.target_params is None else stack.target_params.row(k),
-        target_mask=None if stack.target_mask is None else stack.target_mask.row(k),
-    )
+    """Row k of a stack as one member: its arrays are views into the stack,
+    its scalars Python copies."""
+    return _map_members(lambda a: a[k] if a.ndim > 1 else a[k].item(), stack)
 
 
 def split_stack(stack: Member, parts: int) -> list[Member]:
@@ -165,7 +144,9 @@ def concat_stacks(stacks: list[Member]) -> Member:
 @dataclass(init=False)
 class Population:
     """K members stacked into one Member, the shared target snapshot, and the
-    champion index."""
+    champion index. The constructor is the one way member records become a
+    stack (set-up, restore and replace(population, members=...)); stack_row
+    and members read them back."""
 
     stack: Member = field(init=False)
     target_params: NetworkParams | None
@@ -188,21 +169,6 @@ class Population:
         self.target_mask = target_mask
         self.champion_index = champion_index
         self.next_lineage_id = next_lineage_id
-
-    @classmethod
-    def from_stack(
-        cls,
-        stack: Member,
-        target_params: NetworkParams | None = None,
-        target_mask: Mask | None = None,
-        champion_index: int = 0,
-        next_lineage_id: int = 0,
-    ) -> "Population":
-        """A population around an existing stack (not copied)."""
-        pop = object.__new__(cls)
-        pop.stack, pop.target_params, pop.target_mask = stack, target_params, target_mask
-        pop.champion_index, pop.next_lineage_id = champion_index, next_lineage_id
-        return pop
 
     @property
     def k(self) -> int:

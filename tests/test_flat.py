@@ -12,7 +12,7 @@ from eaudeqn.checkpoint import decode_payload, encode_payload, payload_to_state,
 from eaudeqn.config import build_config
 from eaudeqn.dqn import distillqn_update
 from eaudeqn.nncore import AdamState, NetworkParams, adam_step, init_network, mlp_layer_specs
-from eaudeqn.population import Population, concat_stacks, exploration, member_gradient_step, split_stack
+from eaudeqn.population import concat_stacks, evolve, exploration, member_gradient_step, split_stack
 from eaudeqn.pruning import EauDeConfig, Mask, PolyPruneConfig, magnitude_mask
 from eaudeqn.rng import RngStream
 from eaudeqn.training import init_state
@@ -88,7 +88,7 @@ def test_training_stacks_stay_buffer_backed(tmp_path):
     pruned = distillqn_update(stepped, schedule, 1)
     _assert_buffer_backed(pruned)
 
-    pop = Population.from_stack(pruned, champion_index=0, next_lineage_id=3)
+    pop = evolve(side, stack=pruned, champion_index=0, next_lineage_id=3)
     explored, _ = exploration(pop, [0, 0, 1], 10, 20, EauDeConfig(population_size=3, tournament_size=2, t_final=100),
                               RngStream(5, "flat/selection"))
     _assert_buffer_backed(explored.stack)
