@@ -22,9 +22,9 @@ import numpy as np
 
 from .config import build_config, canonical_text, config_digest, network_widths, parse_config_text
 from .errors import CheckpointError, ConfigError, DataFormatError
-from .nncore import LayerSpec, Layout, NetworkParams, mlp_layer_specs, spec_layout
+from .nncore import AdamState, LayerSpec, Layout, NetworkParams, mlp_layer_specs, spec_layout
 from .population import Member, Population
-from .pruning import Mask
+from .pruning import Mask, sparsity_of
 from .replay import ReplayBuffer
 from .rng import RngStream
 from .sac import GaussianPolicy, TwinCriticPopulation
@@ -71,7 +71,7 @@ def _encode(obj, write) -> None:
             _encode(key, write)
             _encode(value, write)
     elif isinstance(obj, np.ndarray):
-        arr = np.ascontiguousarray(obj)
+        arr = obj if obj.flags.c_contiguous else obj.copy(order="C")  # ascontiguousarray makes 0-d 1-d
         dtype = arr.dtype.str.encode("ascii")
         shape = struct.pack(f"<{arr.ndim}q", *arr.shape) if arr.ndim else b""
         write(b"A" + struct.pack("<I", len(dtype)) + dtype + struct.pack("<B", arr.ndim) + shape)
@@ -258,6 +258,7 @@ class _Net(NamedTuple):
     layout: Layout
     population_size: int
     soft_targets: bool  # critics: a soft target per member and no shared target
+    constants: dict  # record type -> {field: the value the config fixes}
 
     def params(self, flat: np.ndarray) -> NetworkParams:
         return NetworkParams.of(flat, self.specs)
@@ -266,9 +267,9 @@ class _Net(NamedTuple):
         return Mask.of(flat, self.layout)
 
 
-def _net(widths, population_size: int, soft_targets: bool) -> _Net:
+def _net(widths, population_size: int, soft_targets: bool, constants: dict) -> _Net:
     specs = mlp_layer_specs(widths)
-    return _Net(specs, _spec_records(specs), spec_layout(specs), population_size, soft_targets)
+    return _Net(specs, _spec_records(specs), spec_layout(specs), population_size, soft_targets, constants)
 
 
 def _kind(value) -> str:
@@ -320,8 +321,9 @@ def _arrays(arrays, shapes: tuple, where: str) -> list:
 def _restore(hint, record, net: _Net, where: str):
     """Rebuild a value of type `hint` from its record, refusing what does not
     fit the config: network arrays that do not match `net`, negative int
-    fields, and populations whose member count, champion index, lineage ids,
-    targets or masks do not fit."""
+    fields, run constants other than the config's, and populations whose
+    member count, champion index, targets, masks or member scalars do not
+    fit."""
     if isinstance(hint, types.GenericAlias):  # a fixed-length tuple
         hints = typing.get_args(hint)
         if len(_list(record, where)) != len(hints):
@@ -339,6 +341,7 @@ def _restore(hint, record, net: _Net, where: str):
             wrap = net.params
         return wrap(np.concatenate(arrays, axis=None))
     kwargs = {}
+    constants = net.constants.get(hint, {})
     for name, field_hint, optional in _plan(hint):
         value = record[name]
         if field_hint is float:
@@ -347,10 +350,14 @@ def _restore(hint, record, net: _Net, where: str):
             kwargs[name] = _number(int, value, where, name)
             if kwargs[name] < 0:
                 raise CheckpointError(f"checkpoint {where}.{name}: {value} is negative")
+            if kwargs[name] >= 2**63:  # a stack holds them as int64
+                raise CheckpointError(f"checkpoint {where}.{name}: {value} does not fit in int64")
         elif optional and value is None:
             kwargs[name] = None
         else:
             kwargs[name] = _restore(field_hint, value, net, f"{where}.{name}")
+        if name in constants and kwargs[name] != constants[name]:
+            raise CheckpointError(f"checkpoint {where}.{name}: {value!r} is not this config's {constants[name]!r}")
     if hint is not Population:
         return hint(**kwargs)
     k = net.population_size
@@ -360,8 +367,6 @@ def _restore(hint, record, net: _Net, where: str):
     members = [_restore(Member, m, net, f"{where}.members[{i}]") for i, m in enumerate(records)]
     if kwargs["champion_index"] >= k:
         raise CheckpointError(f"checkpoint {where}: champion_index {kwargs['champion_index']} outside [0, {k})")
-    if any(m.lineage_id >= kwargs["next_lineage_id"] for m in members):
-        raise CheckpointError(f"checkpoint {where}: a lineage id is at or above next_lineage_id")
     soft = {m.target_params is not None for m in members} | {m.target_mask is not None for m in members}
     shared = {kwargs["target_params"] is not None, kwargs["target_mask"] is not None}
     if soft != {net.soft_targets} or shared != {not net.soft_targets}:
@@ -372,6 +377,19 @@ def _restore(hint, record, net: _Net, where: str):
     _check_binary(stack.mask, f"{where}.members[*].mask")  # one check per stack
     _check_binary(stack.target_mask, f"{where}.members[*].target_mask")
     _check_binary(kwargs["target_mask"], f"{where}.target_mask")
+    ids, target = stack.lineage_id, stack.mask_target
+    for name, bad, why in (
+        # every writer sets a member's sparsity to sparsity_of(its mask)
+        ("sparsity", stack.sparsity.view(np.uint64) != sparsity_of(stack.mask).view(np.uint64),
+         "is not its mask's zero fraction"),
+        ("mask_target", ~((target >= 0.0) & (target < 1.0)), "is outside [0, 1)"),
+        ("lineage_id", ids >= kwargs["next_lineage_id"], "is at or above next_lineage_id"),
+        ("lineage_id", (ids == ids[:, None]).sum(axis=0) > 1, "is another member's too"),
+    ):
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            value = getattr(stack, name).tolist()[i]
+            raise CheckpointError(f"checkpoint {where}.members[{i}].{name}: {value!r} {why}")
     return population
 
 
@@ -451,8 +469,20 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         raise CheckpointError(f"checkpoint replay buffer does not fit this config: {err!r}") from err
     k = config.population_size
     nets = network_widths(config)
+    # the run constants a record must hold, by record type; a type is only
+    # restored under its own role, so one table serves every role
+    constants = {
+        AdamState: {"learning_rate": config.learning_rate, "epsilon": config.adam_epsilon,
+                    "beta1": AdamState.beta1, "beta2": AdamState.beta2},
+    }
+    if config.is_sac:
+        box = spec.action_space
+        constants[GaussianPolicy] = {"action_dim": box.dimension, "action_low": box.low, "action_high": box.high}
+        constants[TwinCriticPopulation] = {"tau": config.tau, "alpha": config.alpha,
+                                           "prune_period": config.prune_period}
     q, actor, critic = (
-        _net(nets[role], k, role == "critic") if role in nets else None for role in ("q", "actor", "critic")
+        _net(nets[role], k, role == "critic", constants) if role in nets else None
+        for role in ("q", "actor", "critic")
     )
     population = _part(Population, get("population"), q, "population")
     policy = _part(GaussianPolicy, get("policy"), actor, "policy")

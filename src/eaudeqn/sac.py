@@ -83,13 +83,10 @@ class TwinCriticPopulation:
         return self.sides[0].k
 
 
-def _policy_heads(policy: GaussianPolicy, states: np.ndarray):
-    out = forward(policy.params, policy.mask, states)
+def _policy_heads(policy: GaussianPolicy, out: np.ndarray):
+    """The mean and the clamped log_std halves of the actor's network output."""
     d = policy.action_dim
-    mean = out[..., :d]
-    raw_log_std = out[..., d:]
-    log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
-    return mean, log_std, raw_log_std
+    return out[..., :d], np.clip(out[..., d:], LOG_STD_MIN, LOG_STD_MAX)
 
 
 def _log_one_minus_tanh_sq(u: np.ndarray) -> np.ndarray:
@@ -108,6 +105,18 @@ def _log_prob(policy: GaussianPolicy, z: np.ndarray, log_std: np.ndarray, u: np.
     ).sum(axis=-1)
 
 
+def _squash(policy: GaussianPolicy, out: np.ndarray, noise: np.ndarray):
+    """The reparameterized tanh-Gaussian sample from the actor's network
+    output and standard normal noise: (actions, per-sample log pi(a|s), std,
+    tanh(u))."""
+    mean, log_std = _policy_heads(policy, out)
+    std = np.exp(log_std)
+    u = mean + std * noise
+    th = np.tanh(u)
+    actions = policy.center + policy.half_range * th
+    return actions, _log_prob(policy, noise, log_std, u), std, th
+
+
 def sample_action(policy: GaussianPolicy, states, noise) -> tuple[np.ndarray, np.ndarray]:
     """Reparameterized tanh-Gaussian sample and its log-probability.
 
@@ -115,12 +124,8 @@ def sample_action(policy: GaussianPolicy, states, noise) -> tuple[np.ndarray, np
     Returns (actions within bounds, per-sample log pi(a|s)).
     """
     states2d = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    mean, log_std, _ = _policy_heads(policy, states2d)
-    std = np.exp(log_std)
-    u = mean + std * noise
-    th = np.tanh(u)
-    actions = policy.center + policy.half_range * th
-    return actions, _log_prob(policy, noise, log_std, u)
+    actions, log_prob, _, _ = _squash(policy, forward(policy.params, policy.mask, states2d), noise)
+    return actions, log_prob
 
 
 def draw_action(policy: GaussianPolicy, state, rng: RngStream) -> tuple[np.ndarray, float]:
@@ -133,7 +138,7 @@ def draw_action(policy: GaussianPolicy, state, rng: RngStream) -> tuple[np.ndarr
 def mean_action(policy: GaussianPolicy, state) -> np.ndarray:
     """Deterministic evaluation action: squashed mean, no noise."""
     states2d = np.atleast_2d(np.asarray(state, dtype=np.float64))
-    mean, _, _ = _policy_heads(policy, states2d)
+    mean, _ = _policy_heads(policy, forward(policy.params, policy.mask, states2d))
     return (policy.center + policy.half_range * np.tanh(mean))[0]
 
 
@@ -141,7 +146,8 @@ def action_log_prob(policy: GaussianPolicy, state, actions) -> np.ndarray:
     """log pi(a|s) for given in-bounds actions (used by the density check)."""
     states2d = np.atleast_2d(np.asarray(state, dtype=np.float64))
     acts = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    mean, log_std, _ = _policy_heads(policy, np.broadcast_to(states2d, (acts.shape[0], states2d.shape[1])))
+    states2d = np.broadcast_to(states2d, (acts.shape[0], states2d.shape[1]))
+    mean, log_std = _policy_heads(policy, forward(policy.params, policy.mask, states2d))
     std = np.exp(log_std)
     unit = np.clip((acts - policy.center) / policy.half_range, -1.0 + 1e-12, 1.0 - 1e-12)
     u = np.arctanh(unit)
@@ -217,20 +223,12 @@ def actor_objective_and_grad(
     the entropy term only.
     """
     states2d = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    b = states2d.shape[0]
-    d = policy.action_dim
 
     activations, preacts, eff = _forward_cache(policy.params, policy.mask, states2d)
     out = activations[-1]
-    mean = out[:, :d]
-    raw_log_std = out[:, d:]
+    raw_log_std = out[:, policy.action_dim :]
     inside = (raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX)
-    log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
-    std = np.exp(log_std)
-    u = mean + std * noise
-    th = np.tanh(u)
-    actions = policy.center + policy.half_range * th
-    log_prob = _log_prob(policy, noise, log_std, u)
+    actions, log_prob, std, th = _squash(policy, out, noise)
 
     inputs = critic_inputs(states2d, actions)
     acts_a, pre_a, eff_a = _forward_cache(critic_a.params, critic_a.mask, inputs)

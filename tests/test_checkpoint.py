@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eaudeqn.checkpoint import (
     decode_payload,
@@ -11,7 +15,7 @@ from eaudeqn.checkpoint import (
 )
 from eaudeqn.config import build_config
 from eaudeqn.errors import CheckpointError, DataFormatError
-from eaudeqn.training import run_training
+from eaudeqn.training import NumericAbortError, run_training
 
 FIXED_CLOCK = lambda: 0.0  # noqa: E731
 
@@ -20,6 +24,44 @@ def chain_config(algorithm="eaude_dqn", total=1_200, seed=5, **extra):
     overrides = {"algorithm": algorithm, "env": "chain", "seed": seed, "run.total_steps": total}
     overrides.update(extra)
     return build_config(overrides)
+
+
+# payload leaves: ints beyond 128 bits, every float (nan, infinities, -0.0)
+# and numeric arrays of 0-d, empty and multi-dimensional shapes
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**130), 2**130)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.binary(max_size=8)
+    | hnp.arrays(
+        st.sampled_from([np.float64, np.int64, np.uint8, np.bool_]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    )
+)
+payloads = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_size=6,
+)
+
+
+def _same(a, b) -> bool:
+    """a and b are equal in type and value, floats and arrays bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[key], b[key]) for key in a)
+    return a == b
 
 
 class TestCodec:
@@ -47,6 +89,14 @@ class TestCodec:
         assert np.array_equal(out["nested"]["arr"], payload["nested"]["arr"])
         assert np.array_equal(out["floats"], payload["floats"], equal_nan=True)
         assert out["bools"].dtype == np.bool_
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=payloads)
+    def test_round_trip_property(self, payload):
+        blob = encode_payload(payload)
+        out = decode_payload(blob)
+        assert _same(out, payload)
+        assert encode_payload(out) == blob
 
     def test_truncation_is_a_parse_error_with_offset(self):
         blob = encode_payload({"a": np.arange(10)})
@@ -113,6 +163,19 @@ class TestStateRoundTrip:
         assert encode_payload(state_to_payload(resumed_state)) == encode_payload(
             state_to_payload(full_state)
         )
+
+    def test_numeric_abort_state_loads_and_resumes(self, tmp_path):
+        cfg = chain_config(total=1_000, **{"run.target_period": 250})
+        _, state = run_training(cfg, until_step=600, clock=FIXED_CLOCK)
+        state.population.members[2].params.weights[0][0, 0] = np.inf
+        with pytest.raises(NumericAbortError) as info:
+            run_training(cfg, resume=state, clock=FIXED_CLOCK)
+        path = tmp_path / "abort.ckpt"
+        save_checkpoint(info.value.state, path)
+        restored = load_checkpoint(path)
+        assert encode_payload(state_to_payload(restored)) == path.read_bytes()
+        with pytest.raises(NumericAbortError):
+            run_training(cfg, resume=restored, clock=FIXED_CLOCK)
 
     def test_digest_mismatch_refuses_resume(self, tmp_path):
         cfg = chain_config(total=800)
@@ -265,6 +328,42 @@ MALFORMED_STATE = {
                                "logged_behaviors: 3 entries, expected 2"),
     "logged_behaviors_outside": ("eaude_sac", ("logged_behaviors",), lambda b: [0, 2],
                                  r"logged_behaviors\[1\]: 2 outside \[0, 2\)"),
+    # run constants the config fixes
+    "twin_alpha": ("eaude_sac", ("twin", "alpha"), lambda a: 5.0, r"twin\.alpha: 5\.0 is not this config's 0\.2"),
+    "twin_tau": ("eaude_sac", ("twin", "tau"), lambda t: 0.9, r"twin\.tau: 0\.9 is not this config's 0\.005"),
+    "twin_prune_period": ("eaude_sac", ("twin", "prune_period"), lambda p: 50,
+                          r"twin\.prune_period: 50 is not this config's 100"),
+    "policy_action_high": ("eaude_sac", ("policy", "action_high"), lambda h: 7.0,
+                           r"policy\.action_high: 7\.0 is not this config's 2\.0"),
+    "policy_action_low": ("eaude_sac", ("policy", "action_low"), lambda lo: -1.0,
+                          r"policy\.action_low: -1\.0 is not this config's -2\.0"),
+    "policy_action_dim": ("eaude_sac", ("policy", "action_dim"), lambda d: 3,
+                          r"policy\.action_dim: 3 is not this config's 1"),
+    "policy_learning_rate": ("eaude_sac", ("policy", "optimizer", "learning_rate"), lambda lr: 1.0,
+                             r"policy\.optimizer\.learning_rate: 1\.0 is not this config's 0\.002"),
+    "critic_beta1": ("eaude_sac", (*S0, 0, "optimizer", "beta1"), lambda b: 1.5,
+                     r"twin\.sides\[0\]\.members\[0\]\.optimizer\.beta1: 1\.5 is not this config's 0\.9"),
+    "second_critic_learning_rate": ("eaude_sac", (*S1, 1, "optimizer", "learning_rate"), lambda lr: 1.0,
+                                    r"twin\.sides\[1\]\.members\[1\]\.optimizer\.learning_rate: 1\.0"),
+    "member_epsilon": ("dqn", (*M0, "optimizer", "epsilon"), lambda e: 1e-8,
+                       r"members\[0\]\.optimizer\.epsilon: 1e-08 is not this config's 0\.00015"),
+    "member_beta2": ("eaude_dqn", ("population", "members", 4, "optimizer", "beta2"), lambda b: 0.99,
+                     r"members\[4\]\.optimizer\.beta2: 0\.99 is not this config's 0\.999"),
+    # member scalars that contradict the member's arrays or each other
+    "sparsity_off_its_mask": ("eaude_sac", (*S0, 0, "sparsity"), lambda sp: 0.7,
+                              r"twin\.sides\[0\]\.members\[0\]\.sparsity: 0\.7 is not its mask's zero fraction"),
+    "sparsity_negative_zero": ("dqn", (*M0, "sparsity"), lambda sp: -0.0, r"members\[0\]\.sparsity: -0\.0 is not"),
+    "mask_target_two": ("eaude_dqn", ("population", "members", 1, "mask_target"), lambda t: 2.0,
+                        r"population\.members\[1\]\.mask_target: 2\.0 is outside \[0, 1\)"),
+    "mask_target_nan": ("eaude_sac", (*S1, 0, "mask_target"), lambda t: float("nan"),
+                        r"sides\[1\]\.members\[0\]\.mask_target: nan is outside"),
+    "lineage_id_beyond_int64": ("eaude_dqn", ("population", "members", 3, "lineage_id"), lambda i: 2**63,
+                                r"members\[3\]\.lineage_id: 9223372036854775808 does not fit in int64"),
+    "adam_step_count_beyond_int64": ("dqn", (*M0, "optimizer", "step_count"), lambda n: 2**64,
+                                     r"members\[0\]\.optimizer\.step_count: 18446744073709551616 does not fit"),
+    "lineage_id_shared": ("eaude_dqn", ("population", "members"),
+                          lambda ms: [*ms[:3], dict(ms[3], lineage_id=ms[1]["lineage_id"]), *ms[4:]],
+                          r"population\.members\[1\]\.lineage_id: \d+ is another member's too"),
 }
 
 
