@@ -17,7 +17,7 @@ ROUNDS alternating rounds of state_to_payload, payload_to_state,
 save_checkpoint and load_checkpoint on that state. The JSON line then holds,
 per operation, each tree's median time, the base/change time ratio (above 1
 when the change is faster) and the rounds the change was faster in, plus
-whether the two trees wrote byte-identical checkpoint files.
+each tree's checkpoint file size and whether the two files are byte-identical.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ def time_checkpoints(trees: dict, step: int, rounds: int, tmp: Path) -> dict:
             "ratio": round(statistics.median(base) / statistics.median(change), 4),
             "change_won": sum(c < b for b, c in zip(base, change)),
         }
-    result["checkpoint_bytes"] = trees["change"]["path"].stat().st_size
+    for label, tree in trees.items():
+        result[f"{label}_bytes"] = tree["path"].stat().st_size
     result["same_bytes"] = trees["base"]["path"].read_bytes() == trees["change"]["path"].read_bytes()
     return result
 

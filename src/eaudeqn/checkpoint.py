@@ -1,8 +1,9 @@
 """Bit-exact checkpointing of a full training state.
 
-The file is a tagged binary tree: ints are arbitrary-precision (PCG64 states
-are 128-bit), floats are raw IEEE doubles, and arrays are dtype + shape + raw
-bytes, so load(save(x)) reproduces x exactly. The config rides along as its
+The file is an 8-byte magic that names the format version, then a tagged
+binary tree: ints are arbitrary-precision (PCG64 states are 128-bit), floats
+are raw IEEE doubles, and arrays are dtype + shape + raw bytes, so
+load(save(x)) reproduces x exactly. The config rides along as its
 canonical text plus digest; resuming against a different config is refused,
 and so is a state whose networks or replay rings do not fit that config.
 """
@@ -31,7 +32,7 @@ from .sac import GaussianPolicy, TwinCriticPopulation
 from .training import SAC_STREAMS, VALUE_STREAMS, TrainState
 from .envs import make_env
 
-_MAGIC = b"EAUDECK1"
+_MAGIC = b"EAUDECK2"
 
 
 # -- binary codec -------------------------------------------------------------
@@ -124,7 +125,15 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def _decode(reader: _Reader):
+_MAX_DEPTH = 64  # a state payload nests 8 deep; deeper input is refused, not recursed into
+
+
+def _decode(reader: _Reader, depth: int = 0):
+    if depth > _MAX_DEPTH:
+        raise DataFormatError(
+            f"corrupted checkpoint: nested deeper than {_MAX_DEPTH} at byte offset {reader.offset}",
+            byte_offset=reader.offset,
+        )
     tag = reader.take(1, "type tag")
     if tag == b"N":
         return None
@@ -143,13 +152,19 @@ def _decode(reader: _Reader):
         return reader.take(n, "bytes payload")
     if tag == b"L":
         (n,) = reader.unpack("<I", "list length")
-        return [_decode(reader) for _ in range(n)]
+        return [_decode(reader, depth + 1) for _ in range(n)]
     if tag == b"D":
         (n,) = reader.unpack("<I", "dict length")
         out = {}
         for _ in range(n):
-            key = _decode(reader)
-            out[key] = _decode(reader)
+            start = reader.offset
+            key = _decode(reader, depth + 1)
+            if type(key) is not str:
+                raise DataFormatError(
+                    f"corrupted checkpoint: dict key of type {type(key).__name__} at byte offset {start}",
+                    byte_offset=start,
+                )
+            out[key] = _decode(reader, depth + 1)
         return out
     if tag == b"A":
         (n,) = reader.unpack("<I", "dtype length")
@@ -177,7 +192,12 @@ def _decode(reader: _Reader):
 
 def _decode_stream(stream, size: int) -> dict:
     reader = _Reader(stream, size)
-    if reader.take(len(_MAGIC), "magic") != _MAGIC:
+    magic = reader.take(len(_MAGIC), "magic")
+    if magic != _MAGIC:
+        if magic.startswith(_MAGIC[:-1]):  # another version of this format
+            raise CheckpointError(
+                f"checkpoint format {magic.decode('ascii', 'replace')} is not this version's {_MAGIC.decode()}"
+            )
         raise DataFormatError("not a checkpoint file (bad magic)", byte_offset=0)
     payload = _decode(reader)
     if reader.offset != size:
@@ -201,29 +221,36 @@ def decode_payload(blob: bytes) -> dict:
 # -- state <-> payload --------------------------------------------------------
 #
 # A state object is stored as a record: a dict of its dataclass fields by
-# name, in field order. The two leaves that hold arrays store them as lists:
-# a network as "weights", "biases" and "specs" (its layer_specs, each as
-# [input_width, output_width, activation]), a mask as "layers". A Population
-# stores its stack as one "members" record per row. Restoring walks the same
-# fields, led by their type hints, and checks every network array against the
-# config before any state is returned. A missing entry or a value of the wrong
-# type anywhere in the payload is a CheckpointError, never a KeyError or a
-# TypeError. A population's member records are restored as plain Members,
-# like every other record, and Population(members, ...) stacks them.
+# name, in field order, leaving out the fields in _DERIVED, which restore sets
+# from the config, the env's action box or the record's own mask. A network
+# or a mask is stored as its float64 buffer, as the engine holds it. A
+# Population stores its stack as one "members" record per row. Restoring walks
+# the same fields, led by their type hints, and checks every buffer against
+# the config before any state is returned. A missing or unknown entry or a
+# value of the wrong type anywhere in the payload is a CheckpointError, never a
+# KeyError or a TypeError. A population's member records are restored as plain
+# Members, like every other record, and Population(members, ...) stacks them.
 
 _F64 = np.dtype(np.float64)
 _PLAIN = {float, int, bool, str, type(None), np.ndarray}  # stored as they are
 _NUMBERS = {int: (int, np.integer), float: (float, int, np.floating, np.integer)}
+_DERIVED = {  # record type -> the fields its record leaves out
+    AdamState: ("learning_rate", "epsilon", "beta1", "beta2"),
+    GaussianPolicy: ("action_dim", "action_low", "action_high"),
+    Member: ("sparsity",),
+}
+# a payload holds the state's fields, with the config as its text and digest
+_PAYLOAD_KEYS = frozenset(
+    [f.name for f in dataclasses.fields(TrainState) if f.name != "config"] + ["config_text", "config_digest"]
+)
 
 
 def _record(obj):
     """The payload form of a state object or of one of its field values."""
     if type(obj) in _PLAIN:
         return obj
-    if isinstance(obj, NetworkParams):
-        return {"weights": list(obj.weights), "biases": list(obj.biases), "specs": _spec_records(obj.layer_specs)}
-    if isinstance(obj, Mask):
-        return {"layers": list(obj.layers)}
+    if isinstance(obj, (NetworkParams, Mask)):
+        return obj.flat
     if isinstance(obj, (list, tuple)):
         return [_record(x) for x in obj]
     if not dataclasses.is_dataclass(obj):
@@ -232,17 +259,13 @@ def _record(obj):
     return {"members": [_record(m) for m in obj.members], **record} if isinstance(obj, Population) else record
 
 
-def _spec_records(specs) -> list:
-    return [[s.input_width, s.output_width, s.activation] for s in specs]
-
-
 @functools.cache
 def _plan(cls) -> list:
-    """(name, type, optional) of each init field of cls: the fields a record holds."""
+    """(name, type, optional) of each init field of cls that its record holds."""
     hints = typing.get_type_hints(cls)
     plan = []
     for f in dataclasses.fields(cls):
-        if f.init:
+        if f.init and f.name not in _DERIVED.get(cls, ()):
             args = typing.get_args(hints[f.name])
             optional = type(None) in args
             plan.append((f.name, args[0] if optional else hints[f.name], optional))
@@ -254,22 +277,10 @@ class _Net(NamedTuple):
     critic) and of the population they sit in."""
 
     specs: tuple[LayerSpec, ...]
-    spec_records: list
     layout: Layout
     population_size: int
     soft_targets: bool  # critics: a soft target per member and no shared target
-    constants: dict  # record type -> {field: the value the config fixes}
-
-    def params(self, flat: np.ndarray) -> NetworkParams:
-        return NetworkParams.of(flat, self.specs)
-
-    def mask(self, flat: np.ndarray) -> Mask:
-        return Mask.of(flat, self.layout)
-
-
-def _net(widths, population_size: int, soft_targets: bool, constants: dict) -> _Net:
-    specs = mlp_layer_specs(widths)
-    return _Net(specs, _spec_records(specs), spec_layout(specs), population_size, soft_targets, constants)
+    derived: dict  # record type -> {field left out of its record: the value the config or env fixes}
 
 
 def _kind(value) -> str:
@@ -278,19 +289,21 @@ def _kind(value) -> str:
 
 
 def _fields(record, keys: frozenset, where: str) -> dict:
-    """The record, if it is a dict holding every one of keys."""
+    """The record, if it is a dict whose entries are exactly keys."""
     if type(record) is not dict:
         raise CheckpointError(f"checkpoint {where}: expected a record, got {_kind(record)}")
-    if not record.keys() >= keys:
-        raise CheckpointError(f"checkpoint {where}: no {', '.join(map(repr, sorted(keys - record.keys())))} entry")
+    if record.keys() != keys:
+        missing = sorted(keys - record.keys())
+        if missing:
+            raise CheckpointError(f"checkpoint {where}: no {missing[0]!r} entry")
+        unknown = next(key for key in record if key not in keys)
+        raise CheckpointError(f"checkpoint {where}: unknown entry {unknown!r}")
     return record
 
 
 @functools.cache
 def _keys(cls) -> frozenset:
     """The keys of a record of cls."""
-    if cls is NetworkParams:
-        return frozenset(("weights", "biases", "specs"))
     return frozenset(name for name, _, _ in _plan(cls)) | ({"members"} if cls is Population else set())
 
 
@@ -308,40 +321,24 @@ def _number(hint, value, where: str, name: str | None = None):
     return hint(value)
 
 
-def _arrays(arrays, shapes: tuple, where: str) -> list:
-    """The record's arrays, if there is one float64 array of each expected shape."""
-    if len(_list(arrays, where)) != len(shapes):
-        raise CheckpointError(f"checkpoint {where}: {len(arrays)} arrays for {len(shapes)} layers")
-    for i, (arr, shape) in enumerate(zip(arrays, shapes)):
-        if type(arr) is not np.ndarray or arr.shape != shape or arr.dtype != _F64:
-            raise CheckpointError(f"checkpoint {where}[{i}]: expected float64{list(shape)}, got {_kind(arr)}")
-    return list(arrays)
-
-
 def _restore(hint, record, net: _Net, where: str):
     """Rebuild a value of type `hint` from its record, refusing what does not
-    fit the config: network arrays that do not match `net`, negative int
-    fields, run constants other than the config's, and populations whose
-    member count, champion index, targets, masks or member scalars do not
-    fit."""
+    fit the config: network and mask buffers that do not match `net`,
+    negative int fields, and populations whose member count, champion index,
+    targets, masks or member scalars do not fit."""
+    if hint is NetworkParams or hint is Mask:
+        size = net.layout.size if hint is NetworkParams else net.layout.n_weights
+        if type(record) is not np.ndarray or record.dtype != _F64 or record.shape != (size,):
+            raise CheckpointError(f"checkpoint {where}: expected float64[{size}], got {_kind(record)}")
+        flat = record.copy()
+        return NetworkParams.of(flat, net.specs) if hint is NetworkParams else Mask.of(flat, net.layout)
     if isinstance(hint, types.GenericAlias):  # a fixed-length tuple
         hints = typing.get_args(hint)
         if len(_list(record, where)) != len(hints):
             raise CheckpointError(f"checkpoint {where}: {len(record)} entries, expected {len(hints)}")
         return tuple(_restore(h, r, net, f"{where}[{i}]") for i, (h, r) in enumerate(zip(hints, record)))
     record = _fields(record, _keys(hint), where)
-    if hint is NetworkParams or hint is Mask:
-        if hint is Mask:
-            arrays, wrap = _arrays(record["layers"], net.layout.weight_shapes, f"{where}.layers"), net.mask
-        else:
-            if record["specs"] != net.spec_records:
-                raise CheckpointError(f"checkpoint {where}: layer specs {record['specs']} are not {net.spec_records}")
-            arrays = _arrays(record["weights"], net.layout.weight_shapes, f"{where}.weights")
-            arrays += _arrays(record["biases"], net.layout.bias_shapes, f"{where}.biases")
-            wrap = net.params
-        return wrap(np.concatenate(arrays, axis=None))
-    kwargs = {}
-    constants = net.constants.get(hint, {})
+    kwargs = dict(net.derived.get(hint, {}))
     for name, field_hint, optional in _plan(hint):
         value = record[name]
         if field_hint is float:
@@ -356,8 +353,8 @@ def _restore(hint, record, net: _Net, where: str):
             kwargs[name] = None
         else:
             kwargs[name] = _restore(field_hint, value, net, f"{where}.{name}")
-        if name in constants and kwargs[name] != constants[name]:
-            raise CheckpointError(f"checkpoint {where}.{name}: {value!r} is not this config's {constants[name]!r}")
+    if hint is Member:
+        kwargs["sparsity"] = sparsity_of(kwargs["mask"])
     if hint is not Population:
         return hint(**kwargs)
     k = net.population_size
@@ -379,9 +376,6 @@ def _restore(hint, record, net: _Net, where: str):
     _check_binary(kwargs["target_mask"], f"{where}.target_mask")
     ids, target = stack.lineage_id, stack.mask_target
     for name, bad, why in (
-        # every writer sets a member's sparsity to sparsity_of(its mask)
-        ("sparsity", stack.sparsity.view(np.uint64) != sparsity_of(stack.mask).view(np.uint64),
-         "is not its mask's zero fraction"),
         ("mask_target", ~((target >= 0.0) & (target < 1.0)), "is outside [0, 1)"),
         ("lineage_id", ids >= kwargs["next_lineage_id"], "is at or above next_lineage_id"),
         ("lineage_id", (ids == ids[:, None]).sum(axis=0) > 1, "is another member's too"),
@@ -394,14 +388,17 @@ def _restore(hint, record, net: _Net, where: str):
 
 
 def _check_binary(mask: Mask | None, where: str) -> None:
-    """Refuse a mask, or a stack of member masks, holding values other than 0 and 1."""
-    if mask is None or ((mask.flat == 0.0) | (mask.flat == 1.0)).all():
+    """Refuse a mask, or a stack of member masks ("members[*]" in where),
+    holding values other than 0 and 1; names the first one's flat index."""
+    if mask is None:
         return
-    for i, layer in enumerate(mask.layers):
-        bad = (layer != 0.0) & (layer != 1.0)
-        if bad.any():
-            at = np.argwhere(bad)[0].tolist()
-            raise CheckpointError(f"checkpoint {where}.layers[{i}]: {float(layer[tuple(at)])!r} at {at} is not 0 or 1")
+    bad = (mask.flat != 0.0) & (mask.flat != 1.0)
+    if bad.any():
+        *row, i = np.argwhere(bad)[0].tolist()
+        value = float(mask.flat[(*row, i)])
+        if row:
+            where = where.replace("*", str(row[0]))
+        raise CheckpointError(f"checkpoint {where}[{i}]: {value!r} is not 0 or 1")
 
 
 def _part(hint, record, net: _Net | None, where: str):
@@ -436,14 +433,12 @@ def state_to_payload(state: TrainState) -> dict:
 
 def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState:
     """Rebuild a TrainState, refusing with CheckpointError any entry that is
-    missing, of the wrong type or does not fit the config: networks, replay
-    rings, random streams, the env state and the observation. The replay
-    buffer copies the payload's arrays unless adopt_buffer is set, as for a
-    payload that was just decoded and has no other user."""
+    missing, unknown, of the wrong type or does not fit the config: networks,
+    replay rings, random streams, the env state and the observation. The
+    replay buffer copies the payload's arrays unless adopt_buffer is set, as
+    for a payload that was just decoded and has no other user."""
 
-    def get(key):
-        return _fields(payload, {key}, "payload")[key]
-
+    get = _fields(payload, _PAYLOAD_KEYS, "payload").__getitem__
     text = get("config_text")
     if type(text) is not str:
         raise CheckpointError(f"checkpoint config_text: expected str, got {_kind(text)}")
@@ -467,21 +462,21 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         )
     except (ConfigError, KeyError, TypeError) as err:
         raise CheckpointError(f"checkpoint replay buffer does not fit this config: {err!r}") from err
+    _fields(get("buffer"), frozenset(buffer.state_dict()), "buffer")
     k = config.population_size
-    nets = network_widths(config)
-    # the run constants a record must hold, by record type; a type is only
-    # restored under its own role, so one table serves every role
-    constants = {
+    # the values of the _DERIVED fields that the config and the env fix, by
+    # record type; a type is only restored under its own role, so one table
+    # serves every role (a member's sparsity is its mask's, set in _restore)
+    derived = {
         AdamState: {"learning_rate": config.learning_rate, "epsilon": config.adam_epsilon,
                     "beta1": AdamState.beta1, "beta2": AdamState.beta2},
     }
     if config.is_sac:
         box = spec.action_space
-        constants[GaussianPolicy] = {"action_dim": box.dimension, "action_low": box.low, "action_high": box.high}
-        constants[TwinCriticPopulation] = {"tau": config.tau, "alpha": config.alpha,
-                                           "prune_period": config.prune_period}
+        derived[GaussianPolicy] = {"action_dim": box.dimension, "action_low": box.low, "action_high": box.high}
+    specs = {role: mlp_layer_specs(widths) for role, widths in network_widths(config).items()}
     q, actor, critic = (
-        _net(nets[role], k, role == "critic", constants) if role in nets else None
+        _Net(specs[role], spec_layout(specs[role]), k, role == "critic", derived) if role in specs else None
         for role in ("q", "actor", "critic")
     )
     population = _part(Population, get("population"), q, "population")

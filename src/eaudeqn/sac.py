@@ -74,9 +74,6 @@ class TwinCriticPopulation:
     """Two critic populations with per-member EMA losses and soft targets."""
 
     sides: tuple[Population, Population]
-    tau: float
-    alpha: float
-    prune_period: int
 
     @property
     def k(self) -> int:
@@ -164,7 +161,7 @@ def critic_value(critic: Member | Network, states, actions) -> np.ndarray:
 
 
 def sac_critic_targets(
-    twin: TwinCriticPopulation, policy: GaussianPolicy, batch: Batch, gamma: float, rng: RngStream
+    twin: TwinCriticPopulation, policy: GaussianPolicy, batch: Batch, gamma: float, alpha: float, rng: RngStream
 ) -> np.ndarray:
     """Shared critic target: r + gamma*(1-done)*(min_i Q_target_i(s',a') - alpha*log pi(a'|s')).
 
@@ -178,7 +175,7 @@ def sac_critic_targets(
         champion = side.target_network(side.champion_index)
         q_values.append(critic_value(champion, batch.next_states, next_actions))
     q_min = np.minimum(q_values[0], q_values[1])
-    return batch.rewards + gamma * (1.0 - batch.dones) * (q_min - twin.alpha * log_prob)
+    return batch.rewards + gamma * (1.0 - batch.dones) * (q_min - alpha * log_prob)
 
 
 def soft_update(target_params: NetworkParams, online_params: NetworkParams, tau: float) -> NetworkParams:

@@ -178,12 +178,7 @@ def init_state(config: ExperimentConfig) -> TrainState:
             action_high=env.spec.action_space.high,
         )
         sides = [_fresh_population(config, widths["critic"], f"critic/{i}/member", soft_targets=True) for i in range(2)]
-        twin = TwinCriticPopulation(
-            sides=(sides[0], sides[1]),
-            tau=config.tau,
-            alpha=config.alpha,
-            prune_period=config.prune_period,
-        )
+        twin = TwinCriticPopulation(sides=(sides[0], sides[1]))
         population = None
     else:
         streams = _make_streams(config.seed, VALUE_STREAMS)
@@ -481,7 +476,7 @@ class _ActorCritic:
         config, twin, streams = self.config, state.twin, state.streams
         for _ in range(config.utd):
             batch = state.buffer.sample_batch(config.batch_size, streams["replay"])
-            targets = sac_critic_targets(twin, state.policy, batch, config.discount, streams["target"])
+            targets = sac_critic_targets(twin, state.policy, batch, config.discount, config.alpha, streams["target"])
             inputs = critic_inputs(batch.states, batch.actions)
             self.train(twin.sides, lambda s: train_critic_member(s, inputs, targets, config.tau)[0])
             for side in twin.sides:

@@ -117,6 +117,14 @@ class TestCodec:
         with pytest.raises(DataFormatError):
             decode_payload(b"NOTACKPT" + b"\x00" * 16)
 
+    @pytest.mark.parametrize("key, kind", [(b"I\x01\x00\x00\x00\x03", "int"), (b"L\x00\x00\x00\x00", "list")])
+    def test_non_string_dict_key_rejected_with_offset(self, key, kind):
+        magic = encode_payload({})[:8]
+        blob = magic + b"D" + struct.pack("<I", 1) + key + b"N"
+        with pytest.raises(DataFormatError, match=f"dict key of type {kind} at byte offset 13") as info:
+            decode_payload(blob)
+        assert info.value.byte_offset == 13
+
 
 class TestStateRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
@@ -192,6 +200,11 @@ class TestStateRoundTrip:
         with pytest.raises(CheckpointError):
             payload_to_state(payload)
 
+    def test_unknown_payload_entry_rejected(self, payload_blobs):
+        payload = dict(decode_payload(payload_blobs["dqn"]), extra=None)
+        with pytest.raises(CheckpointError, match="payload: unknown entry 'extra'"):
+            payload_to_state(payload)
+
     def test_in_memory_restore_does_not_share_the_buffer(self):
         cfg = chain_config(total=600)
         _, state = run_training(cfg, until_step=300, clock=FIXED_CLOCK)
@@ -220,36 +233,43 @@ class TestStateRoundTrip:
             payload_to_state(payload)
 
 
-def _first_entry(value):
-    """A transform: the array with its first entry set to value."""
+def _entry(index, value):
+    """A transform: the array with its entry at flat index `index` set to value."""
 
     def transform(arr):
         arr = arr.copy()
-        arr.flat[0] = value
+        arr[index] = value
         return arr
 
     return transform
 
 
+def _extra(key, value):
+    """A transform: the record with one more entry."""
+    return lambda record: dict(record, **{key: value})
+
+
 M0 = ("population", "members", 0)
 S0, S1 = ("twin", "sides", 0, "members"), ("twin", "sides", 1, "members")
-# case -> (payload's algorithm, path to a payload entry, its replacement given the old value, error match)
+# case -> (payload's algorithm, path to a payload entry, its replacement given the old value, error match).
+# A network is stored as its buffer: float64[1474] for a dqn member, [1408] for its mask, [2641] for a
+# pendulum critic, [2544] for a critic mask and [2642] for the actor.
 MALFORMED_NETWORKS = {
-    "weight_cut_to_3_rows": ("dqn", (*M0, "params", "weights", 0), lambda w: w[:3],
-                             r"population\.members\[0\]\.params\.weights\[0\]: expected float64\[32, 10\], "
-                             r"got float64\[3, 10\]"),
-    "weight_float32": ("dqn", (*M0, "params", "weights", 1), lambda w: w.astype(np.float32), r"weights\[1\].*got float32"),
-    "missing_bias": ("dqn", (*M0, "params", "biases"), lambda bs: bs[:2], "2 arrays for 3 layers"),
-    "layer_specs": ("dqn", (*M0, "params", "specs", 0, 1), lambda width: 16, "layer specs"),
-    "adam_moment": ("dqn", (*M0, "optimizer", "v", "biases", 2), lambda b: b[:1], r"optimizer\.v\.biases\[2\]"),
-    "shared_target": ("dqn", ("population", "target_params", "weights", 1), lambda w: w[:3],
-                      r"population\.target_params\.weights\[1\]"),
+    "weight_cut_to_3_rows": ("dqn", (*M0, "params"), lambda p: p[:3],
+                             r"population\.members\[0\]\.params: expected float64\[1474\], got float64\[3\]"),
+    "weight_float32": ("dqn", (*M0, "params"), lambda p: p.astype(np.float32),
+                       r"members\[0\]\.params: expected float64\[1474\], got float32\[1474\]"),
+    "missing_bias": ("dqn", (*M0, "params"), lambda p: p[:1408], r"params: expected float64\[1474\], got float64\[1408\]"),
+    "layer_specs": ("dqn", M0, _extra("specs", [[10, 16, "relu"]]), r"population\.members\[0\]: unknown entry 'specs'"),
+    "adam_moment": ("dqn", (*M0, "optimizer", "v"), lambda v: v[:1], r"optimizer\.v: expected float64\[1474\]"),
+    "shared_target": ("dqn", ("population", "target_params"), lambda t: t.reshape(2, -1),
+                      r"population\.target_params: expected float64\[1474\], got float64\[2, 737\]"),
     "shared_target_missing": ("dqn", ("population", "target_params"), lambda t: None, "one shared target"),
-    "mask_shape": ("dqn", (*M0, "mask", "layers", 1), lambda m: m[:3], r"mask\.layers\[1\]"),
-    "mask_not_binary": ("dqn", (*M0, "mask", "layers", 1), _first_entry(0.5),
-                        r"population\.members\[\*\]\.mask\.layers\[1\]: 0\.5 at \[0, 0, 0\] is not 0 or 1"),
-    "shared_target_mask_not_binary": ("dqn", ("population", "target_mask", "layers", 0), _first_entry(np.nan),
-                                      r"population\.target_mask\.layers\[0\]: nan at \[0, 0\]"),
+    "mask_shape": ("dqn", (*M0, "mask"), lambda m: m[:3], r"mask: expected float64\[1408\], got float64\[3\]"),
+    "mask_not_binary": ("dqn", (*M0, "mask"), _entry(400, 0.5),
+                        r"population\.members\[0\]\.mask\[400\]: 0\.5 is not 0 or 1"),
+    "shared_target_mask_not_binary": ("dqn", ("population", "target_mask"), _entry(0, np.nan),
+                                      r"population\.target_mask\[0\]: nan is not 0 or 1"),
     "negative_step": ("dqn", ("step",), lambda step: -1, "step -1 is negative"),
     "negative_adam_step_count": ("dqn", (*M0, "optimizer", "step_count"), lambda n: -2,
                                  r"members\[0\]\.optimizer\.step_count: -2 is negative"),
@@ -260,16 +280,16 @@ MALFORMED_NETWORKS = {
                                 "champion_index: -1 is negative"),
     "lineage_id_unissued": ("eaude_dqn", ("population", "members", 3, "lineage_id"), lambda i: 10**6,
                             "at or above next_lineage_id"),
-    "soft_target_cut": ("eaude_sac", (*S1, 0, "target_params", "weights", 1), lambda w: w[:3],
-                        r"twin\.sides\[1\]\.members\[0\]\.target_params\.weights\[1\]"),
+    "soft_target_cut": ("eaude_sac", (*S1, 0, "target_params"), lambda t: t[:3],
+                        r"twin\.sides\[1\]\.members\[0\]\.target_params: expected float64\[2641\]"),
     "soft_target_missing": ("eaude_sac", (*S0, 1, "target_params"), lambda t: None, "a soft target per member"),
-    "soft_target_mask_not_binary": ("eaude_sac", (*S0, 1, "target_mask", "layers", 2), _first_entry(2.0),
-                                    r"sides\[0\]\.members\[\*\]\.target_mask\.layers\[2\]: 2\.0 at \[1, 0, 0\]"),
+    "soft_target_mask_not_binary": ("eaude_sac", (*S0, 1, "target_mask"), _entry(2543, 2.0),
+                                    r"sides\[0\]\.members\[1\]\.target_mask\[2543\]: 2\.0 is not 0 or 1"),
     "critic_side_missing": ("eaude_sac", ("twin", "sides"), lambda sides: sides[:1], "1 entries, expected 2"),
-    "policy_weight": ("eaude_sac", ("policy", "params", "weights", 2), lambda w: w[:1],
-                      r"policy\.params\.weights\[2\]: expected float64\[2, 48\]"),
-    "policy_mask_not_binary": ("eaude_sac", ("policy", "mask", "layers", 0), _first_entry(-1.0),
-                               r"policy\.mask\.layers\[0\]: -1\.0 at \[0, 0\]"),
+    "policy_weight": ("eaude_sac", ("policy", "params"), lambda p: p[:1],
+                      r"policy\.params: expected float64\[2642\], got float64\[1\]"),
+    "policy_mask_not_binary": ("eaude_sac", ("policy", "mask"), _entry(0, -1.0),
+                               r"policy\.mask\[0\]: -1\.0 is not 0 or 1"),
     "policy_adam_step_count": ("eaude_sac", ("policy", "optimizer", "step_count"), lambda n: -1,
                                r"policy\.optimizer\.step_count: -1 is negative"),
     "population_in_sac": ("eaude_sac", ("population",), lambda pop: {}, "population: not used"),
@@ -297,10 +317,9 @@ DROP = object()  # a replacement that deletes the entry
 
 # case -> (payload's algorithm, path to a payload entry, its replacement or DROP, error match)
 MALFORMED_STATE = {
-    "member_weights_missing": ("dqn", (*M0, "params", "weights"), lambda w: DROP,
-                               r"population\.members\[0\]\.params: no 'weights' entry"),
+    "member_weights_missing": ("dqn", (*M0, "params"), lambda w: DROP, r"population\.members\[0\]: no 'params' entry"),
     "mask_record_an_int": ("dqn", (*M0, "mask"), lambda m: 7,
-                           r"population\.members\[0\]\.mask: expected a record, got int"),
+                           r"population\.members\[0\]\.mask: expected float64\[1408\], got int"),
     "last_eval_missing": ("dqn", ("last_eval",), lambda v: DROP, "payload: no 'last_eval' entry"),
     "loss_a_string": ("dqn", (*M0, "cumulated_loss"), lambda v: "0.5",
                       r"members\[0\]\.cumulated_loss: expected float, got str"),
@@ -328,31 +347,29 @@ MALFORMED_STATE = {
                                "logged_behaviors: 3 entries, expected 2"),
     "logged_behaviors_outside": ("eaude_sac", ("logged_behaviors",), lambda b: [0, 2],
                                  r"logged_behaviors\[1\]: 2 outside \[0, 2\)"),
-    # run constants the config fixes
-    "twin_alpha": ("eaude_sac", ("twin", "alpha"), lambda a: 5.0, r"twin\.alpha: 5\.0 is not this config's 0\.2"),
-    "twin_tau": ("eaude_sac", ("twin", "tau"), lambda t: 0.9, r"twin\.tau: 0\.9 is not this config's 0\.005"),
-    "twin_prune_period": ("eaude_sac", ("twin", "prune_period"), lambda p: 50,
-                          r"twin\.prune_period: 50 is not this config's 100"),
-    "policy_action_high": ("eaude_sac", ("policy", "action_high"), lambda h: 7.0,
-                           r"policy\.action_high: 7\.0 is not this config's 2\.0"),
-    "policy_action_low": ("eaude_sac", ("policy", "action_low"), lambda lo: -1.0,
-                          r"policy\.action_low: -1\.0 is not this config's -2\.0"),
-    "policy_action_dim": ("eaude_sac", ("policy", "action_dim"), lambda d: 3,
-                          r"policy\.action_dim: 3 is not this config's 1"),
-    "policy_learning_rate": ("eaude_sac", ("policy", "optimizer", "learning_rate"), lambda lr: 1.0,
-                             r"policy\.optimizer\.learning_rate: 1\.0 is not this config's 0\.002"),
-    "critic_beta1": ("eaude_sac", (*S0, 0, "optimizer", "beta1"), lambda b: 1.5,
-                     r"twin\.sides\[0\]\.members\[0\]\.optimizer\.beta1: 1\.5 is not this config's 0\.9"),
-    "second_critic_learning_rate": ("eaude_sac", (*S1, 1, "optimizer", "learning_rate"), lambda lr: 1.0,
-                                    r"twin\.sides\[1\]\.members\[1\]\.optimizer\.learning_rate: 1\.0"),
-    "member_epsilon": ("dqn", (*M0, "optimizer", "epsilon"), lambda e: 1e-8,
-                       r"members\[0\]\.optimizer\.epsilon: 1e-08 is not this config's 0\.00015"),
-    "member_beta2": ("eaude_dqn", ("population", "members", 4, "optimizer", "beta2"), lambda b: 0.99,
-                     r"members\[4\]\.optimizer\.beta2: 0\.99 is not this config's 0\.999"),
+    # fields that the config, the env or the mask fix are not stored: a record holding one is refused
+    "twin_alpha": ("eaude_sac", ("twin",), _extra("alpha", 5.0), "twin: unknown entry 'alpha'"),
+    "twin_tau": ("eaude_sac", ("twin",), _extra("tau", 0.9), "twin: unknown entry 'tau'"),
+    "twin_prune_period": ("eaude_sac", ("twin",), _extra("prune_period", 50), "twin: unknown entry 'prune_period'"),
+    "policy_action_high": ("eaude_sac", ("policy",), _extra("action_high", 7.0), "policy: unknown entry 'action_high'"),
+    "policy_action_low": ("eaude_sac", ("policy",), _extra("action_low", -1.0), "policy: unknown entry 'action_low'"),
+    "policy_action_dim": ("eaude_sac", ("policy",), _extra("action_dim", 3), "policy: unknown entry 'action_dim'"),
+    "policy_learning_rate": ("eaude_sac", ("policy", "optimizer"), _extra("learning_rate", 1.0),
+                             r"policy\.optimizer: unknown entry 'learning_rate'"),
+    "critic_beta1": ("eaude_sac", (*S0, 0, "optimizer"), _extra("beta1", 1.5),
+                     r"twin\.sides\[0\]\.members\[0\]\.optimizer: unknown entry 'beta1'"),
+    "second_critic_learning_rate": ("eaude_sac", (*S1, 1, "optimizer"), _extra("learning_rate", 1.0),
+                                    r"twin\.sides\[1\]\.members\[1\]\.optimizer: unknown entry 'learning_rate'"),
+    "member_epsilon": ("dqn", (*M0, "optimizer"), _extra("epsilon", 1e-8),
+                       r"members\[0\]\.optimizer: unknown entry 'epsilon'"),
+    "member_beta2": ("eaude_dqn", ("population", "members", 4, "optimizer"), _extra("beta2", 0.99),
+                     r"members\[4\]\.optimizer: unknown entry 'beta2'"),
+    "sparsity_off_its_mask": ("eaude_sac", (*S0, 0), _extra("sparsity", 0.7),
+                              r"twin\.sides\[0\]\.members\[0\]: unknown entry 'sparsity'"),
+    "sparsity_negative_zero": ("dqn", M0, _extra("sparsity", -0.0), r"members\[0\]: unknown entry 'sparsity'"),
+    "population_extra": ("eaude_dqn", ("population",), _extra("k", 5), "population: unknown entry 'k'"),
+    "buffer_extra": ("dqn", ("buffer",), _extra("size", 10), "buffer: unknown entry 'size'"),
     # member scalars that contradict the member's arrays or each other
-    "sparsity_off_its_mask": ("eaude_sac", (*S0, 0, "sparsity"), lambda sp: 0.7,
-                              r"twin\.sides\[0\]\.members\[0\]\.sparsity: 0\.7 is not its mask's zero fraction"),
-    "sparsity_negative_zero": ("dqn", (*M0, "sparsity"), lambda sp: -0.0, r"members\[0\]\.sparsity: -0\.0 is not"),
     "mask_target_two": ("eaude_dqn", ("population", "members", 1, "mask_target"), lambda t: 2.0,
                         r"population\.members\[1\]\.mask_target: 2\.0 is outside \[0, 1\)"),
     "mask_target_nan": ("eaude_sac", (*S1, 0, "mask_target"), lambda t: float("nan"),

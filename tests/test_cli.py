@@ -5,6 +5,7 @@ import pytest
 
 from eaudeqn.checkpoint import load_checkpoint, save_checkpoint
 from eaudeqn.cli import main
+from eaudeqn.config import load_config
 from eaudeqn.training import init_state
 
 CHAIN_CFG = """\
@@ -90,12 +91,23 @@ class TestTrain:
         cfg_path = write_config(tmp_path)
         _, half = run_training(load_config(cfg_path), until_step=300, clock=lambda: 0.0)
         payload = state_to_payload(half)
-        del payload["population"]["members"][0]["params"]["weights"]
+        del payload["population"]["members"][0]["mask"]
         damaged = tmp_path / "damaged.ckpt"
         damaged.write_bytes(encode_payload(payload))
         code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--resume", str(damaged)])
         assert code == 2
-        assert "cannot resume: checkpoint population.members[0].params: no 'weights' entry" in capsys.readouterr().err
+        assert "cannot resume: checkpoint population.members[0]: no 'mask' entry" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_resume_from_an_older_format_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(init_state(load_config(cfg_path)), old)
+        old.write_bytes(b"EAUDECK1" + old.read_bytes()[8:])
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--resume", str(old)]) == 2
+        assert "checkpoint format EAUDECK1 is not this version's EAUDECK2" in capsys.readouterr().err
+        assert main(["inspect", "--checkpoint", str(old)]) == 2
+        assert "checkpoint format EAUDECK1 is not this version's EAUDECK2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_resume_continues_to_completion(self, tmp_path):
@@ -139,6 +151,13 @@ class TestEvaluateAndInspect:
         junk.write_bytes(b"garbage")
         assert main(["inspect", "--checkpoint", str(junk)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_deeply_nested_checkpoint_exits_2(self, run_dir, tmp_path, capsys):
+        magic = (run_dir / "checkpoint.ckpt").read_bytes()[:8]
+        deep = tmp_path / "deep.ckpt"
+        deep.write_bytes(magic + b"L\x01\x00\x00\x00" * 100_000 + b"N")  # 0.5 MB of nested one-element lists
+        assert main(["inspect", "--checkpoint", str(deep)]) == 2
+        assert "nested deeper than" in capsys.readouterr().err
 
 
 class TestAggregate:

@@ -72,12 +72,12 @@ def make_critic_member(seed=0, hidden=(8,), constant=None):
     return fresh_member(params, opt, lineage_id=seed, with_target=True)
 
 
-def make_twin(k=1, constant=None, tau=0.005, alpha=0.2, prune_period=250):
+def make_twin(k=1, constant=None):
     sides = []
     for i in range(2):
         members = [make_critic_member(seed=10 * i + j, constant=constant) for j in range(k)]
         sides.append(Population(members, None, None, champion_index=0, next_lineage_id=k))
-    return TwinCriticPopulation((sides[0], sides[1]), tau=tau, alpha=alpha, prune_period=prune_period)
+    return TwinCriticPopulation((sides[0], sides[1]))
 
 
 def batch_of(n=1, seed=0):
@@ -98,14 +98,14 @@ class TestCriticTargets:
         batch = batch_of()
         batch.rewards[:] = 3.25
         batch.dones[:] = 1.0
-        y = sac_critic_targets(twin, policy, batch, 0.99, RngStream(0, "target"))
+        y = sac_critic_targets(twin, policy, batch, 0.99, 0.2, RngStream(0, "target"))
         assert np.array_equal(y, np.array([3.25]))
 
     def test_identical_critics_alpha_zero(self):
-        twin = make_twin(constant=1.0, alpha=0.0)
+        twin = make_twin(constant=1.0)
         policy = make_policy()
         batch = batch_of()
-        y = sac_critic_targets(twin, policy, batch, 0.99, RngStream(0, "target"))
+        y = sac_critic_targets(twin, policy, batch, 0.99, 0.0, RngStream(0, "target"))
         assert abs(float(y[0]) - 0.99 * 1.0) < 1e-12
 
     def test_hand_value_with_forced_log_prob(self):
@@ -113,9 +113,9 @@ class TestCriticTargets:
         # noise draw is 0: logp = -c - 0.5*log(2*pi) - log(half_range)
         c = 1.5 - 0.5 * math.log(2.0 * math.pi) - math.log(2.0)
         policy = constant_policy(mean=0.0, raw_log_std=c)
-        twin = make_twin(constant=1.0, alpha=0.2)
+        twin = make_twin(constant=1.0)
         batch = batch_of()
-        y = sac_critic_targets(twin, policy, batch, 0.99, ZeroNormalRng())
+        y = sac_critic_targets(twin, policy, batch, 0.99, 0.2, ZeroNormalRng())
         assert abs(float(y[0]) - 1.287) < 1e-12
 
     def test_sampling_and_inversion_log_probs_agree(self):
