@@ -17,7 +17,9 @@ ROUNDS alternating rounds of state_to_payload, payload_to_state,
 save_checkpoint and load_checkpoint on that state. The JSON line then holds,
 per operation, each tree's median time, the base/change time ratio (above 1
 when the change is faster) and the rounds the change was faster in, plus
-each tree's checkpoint file size and whether the two files are byte-identical.
+each tree's checkpoint file size, the encoded size of each top-level payload
+entry (`buffer`, `population`, `streams`, ...), and whether the two files are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -80,6 +82,13 @@ def _timed(samples: list, fn, *args):
     return out
 
 
+def entry_bytes(checkpoint, state) -> dict:
+    """The encoded size of each top-level entry of state's payload, key included."""
+    payload = checkpoint.state_to_payload(state)
+    empty = len(checkpoint.encode_payload({}))
+    return {key: len(checkpoint.encode_payload({key: value})) - empty for key, value in payload.items()}
+
+
 def time_checkpoints(trees: dict, step: int, rounds: int, tmp: Path) -> dict:
     """Train both trees to `step`, then time the checkpoint operations in
     alternating rounds; the per-operation figures."""
@@ -105,6 +114,7 @@ def time_checkpoints(trees: dict, step: int, rounds: int, tmp: Path) -> dict:
         }
     for label, tree in trees.items():
         result[f"{label}_bytes"] = tree["path"].stat().st_size
+        result[f"{label}_entry_bytes"] = entry_bytes(tree["checkpoint"], tree["state"])
     result["same_bytes"] = trees["base"]["path"].read_bytes() == trees["change"]["path"].read_bytes()
     return result
 

@@ -25,14 +25,14 @@ from .config import build_config, canonical_text, config_digest, network_widths,
 from .errors import CheckpointError, ConfigError, DataFormatError
 from .nncore import AdamState, LayerSpec, Layout, NetworkParams, mlp_layer_specs, spec_layout
 from .population import Member, Population
-from .pruning import Mask, sparsity_of
+from .pruning import Mask, mask_of_ones, sparsity_of
 from .replay import ReplayBuffer
 from .rng import RngStream
 from .sac import GaussianPolicy, TwinCriticPopulation
 from .training import SAC_STREAMS, VALUE_STREAMS, TrainState
 from .envs import make_env
 
-_MAGIC = b"EAUDECK2"
+_MAGIC = b"EAUDECK3"
 
 
 # -- binary codec -------------------------------------------------------------
@@ -222,26 +222,27 @@ def decode_payload(blob: bytes) -> dict:
 #
 # A state object is stored as a record: a dict of its dataclass fields by
 # name, in field order, leaving out the fields in _DERIVED, which restore sets
-# from the config, the env's action box or the record's own mask. A network
-# or a mask is stored as its float64 buffer, as the engine holds it. A
-# Population stores its stack as one "members" record per row. Restoring walks
-# the same fields, led by their type hints, and checks every buffer against
-# the config before any state is returned. A missing or unknown entry or a
-# value of the wrong type anywhere in the payload is a CheckpointError, never a
-# KeyError or a TypeError. A population's member records are restored as plain
-# Members, like every other record, and Population(members, ...) stacks them.
+# from the config, the env's action box or the record's own arrays. A network
+# or a mask is stored as its float64 buffer; a soft target has no mask of its
+# own (it is used under its member's). The payload leaves out obs, which is
+# env.observe(env_state), and the replay buffer's capacity and insert count
+# (the config's, and the step). Restoring walks the same fields, led by their
+# type hints, and checks every buffer against the config before any state is
+# returned. A missing or unknown entry or a value of the wrong type anywhere in
+# the payload is a CheckpointError, never a KeyError or a TypeError. A
+# Population stores one member record per row; restore rebuilds each as a
+# plain Member, like every other record, and Population(members, ...) stacks them.
 
-_F64 = np.dtype(np.float64)
 _PLAIN = {float, int, bool, str, type(None), np.ndarray}  # stored as they are
 _NUMBERS = {int: (int, np.integer), float: (float, int, np.floating, np.integer)}
 _DERIVED = {  # record type -> the fields its record leaves out
-    AdamState: ("learning_rate", "epsilon", "beta1", "beta2"),
-    GaussianPolicy: ("action_dim", "action_low", "action_high"),
-    Member: ("sparsity",),
+    AdamState: ("learning_rate", "epsilon", "beta1", "beta2"),  # the config's
+    GaussianPolicy: ("mask", "action_dim", "action_low", "action_high"),  # all ones (never pruned); the env's
+    Member: ("sparsity",),  # its mask's
 }
-# a payload holds the state's fields, with the config as its text and digest
+# a payload holds the state's fields but obs, with the config as its text and digest
 _PAYLOAD_KEYS = frozenset(
-    [f.name for f in dataclasses.fields(TrainState) if f.name != "config"] + ["config_text", "config_digest"]
+    {f.name for f in dataclasses.fields(TrainState)} - {"config", "obs"} | {"config_text", "config_digest"}
 )
 
 
@@ -314,8 +315,8 @@ def _list(value, where: str) -> list:
 
 
 def _number(hint, value, where: str, name: str | None = None):
-    """value as an int or a float (hint), refusing any other type."""
-    if not isinstance(value, _NUMBERS[hint]):
+    """value as an int or a float (hint), refusing any other type, bools too."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS[hint]):
         at = where if name is None else f"{where}.{name}"
         raise CheckpointError(f"checkpoint {at}: expected {hint.__name__}, got {_kind(value)}")
     return hint(value)
@@ -328,7 +329,7 @@ def _restore(hint, record, net: _Net, where: str):
     targets, masks or member scalars do not fit."""
     if hint is NetworkParams or hint is Mask:
         size = net.layout.size if hint is NetworkParams else net.layout.n_weights
-        if type(record) is not np.ndarray or record.dtype != _F64 or record.shape != (size,):
+        if type(record) is not np.ndarray or record.dtype != np.float64 or record.shape != (size,):
             raise CheckpointError(f"checkpoint {where}: expected float64[{size}], got {_kind(record)}")
         flat = record.copy()
         return NetworkParams.of(flat, net.specs) if hint is NetworkParams else Mask.of(flat, net.layout)
@@ -355,6 +356,8 @@ def _restore(hint, record, net: _Net, where: str):
             kwargs[name] = _restore(field_hint, value, net, f"{where}.{name}")
     if hint is Member:
         kwargs["sparsity"] = sparsity_of(kwargs["mask"])
+    elif hint is GaussianPolicy:
+        kwargs["mask"] = mask_of_ones(kwargs["params"])
     if hint is not Population:
         return hint(**kwargs)
     k = net.population_size
@@ -364,7 +367,7 @@ def _restore(hint, record, net: _Net, where: str):
     members = [_restore(Member, m, net, f"{where}.members[{i}]") for i, m in enumerate(records)]
     if kwargs["champion_index"] >= k:
         raise CheckpointError(f"checkpoint {where}: champion_index {kwargs['champion_index']} outside [0, {k})")
-    soft = {m.target_params is not None for m in members} | {m.target_mask is not None for m in members}
+    soft = {m.target_params is not None for m in members}
     shared = {kwargs["target_params"] is not None, kwargs["target_mask"] is not None}
     if soft != {net.soft_targets} or shared != {not net.soft_targets}:
         wanted = "a soft target per member" if net.soft_targets else "one shared target"
@@ -372,7 +375,6 @@ def _restore(hint, record, net: _Net, where: str):
     population = Population(members, **kwargs)
     stack = population.stack
     _check_binary(stack.mask, f"{where}.members[*].mask")  # one check per stack
-    _check_binary(stack.target_mask, f"{where}.members[*].target_mask")
     _check_binary(kwargs["target_mask"], f"{where}.target_mask")
     ids, target = stack.lineage_id, stack.mask_target
     for name, bad, why in (
@@ -417,7 +419,6 @@ def state_to_payload(state: TrainState) -> dict:
         "streams": {label: stream.get_state() for label, stream in state.streams.items()},
         "buffer": state.buffer.state_dict(),
         "env_state": state.env_state,
-        "obs": state.obs,
         "episode_return": state.episode_return,
         "episode_len": state.episode_len,
         "last_episode_return": state.last_episode_return,
@@ -434,9 +435,9 @@ def state_to_payload(state: TrainState) -> dict:
 def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState:
     """Rebuild a TrainState, refusing with CheckpointError any entry that is
     missing, unknown, of the wrong type or does not fit the config: networks,
-    replay rings, random streams, the env state and the observation. The
-    replay buffer copies the payload's arrays unless adopt_buffer is set, as
-    for a payload that was just decoded and has no other user."""
+    replay rings, random streams and the env state. The replay buffer copies
+    the payload's arrays unless adopt_buffer is set, as for a payload that was
+    just decoded and has no other user."""
 
     get = _fields(payload, _PAYLOAD_KEYS, "payload").__getitem__
     text = get("config_text")
@@ -458,7 +459,8 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
     spec = env.spec
     try:
         buffer = ReplayBuffer.from_state_dict(
-            get("buffer"), config.buffer_capacity, spec.observation_width, spec.action_space, copy=not adopt_buffer
+            get("buffer"), config.buffer_capacity, spec.observation_width, spec.action_space, step,
+            copy=not adopt_buffer,
         )
     except (ConfigError, KeyError, TypeError) as err:
         raise CheckpointError(f"checkpoint replay buffer does not fit this config: {err!r}") from err
@@ -482,8 +484,6 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
     population = _part(Population, get("population"), q, "population")
     policy = _part(GaussianPolicy, get("policy"), actor, "policy")
     twin = _part(TwinCriticPopulation, get("twin"), critic, "twin")
-    if policy is not None:
-        _check_binary(policy.mask, "policy.mask")
     labels = SAC_STREAMS if config.is_sac else VALUE_STREAMS
     states = get("streams")
     if type(states) is not dict or set(states) != set(labels):
@@ -498,11 +498,11 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
             stream.set_state(states[label])
         except (KeyError, OverflowError, TypeError, ValueError) as err:
             raise CheckpointError(f"checkpoint streams[{label!r}]: not a bit-generator state: {err!r}") from err
-    env_state, obs = get("env_state"), get("obs")
+    env_state = get("env_state")
     if type(env_state) is not np.ndarray or env_state.dtype != reset.dtype or env_state.shape != reset.shape:
         raise CheckpointError(f"checkpoint env_state: expected {_kind(reset)}, got {_kind(env_state)}")
-    if type(obs) is not np.ndarray or obs.dtype != _F64 or obs.shape != (spec.observation_width,):
-        raise CheckpointError(f"checkpoint obs: expected float64[{spec.observation_width}], got {_kind(obs)}")
+    if not env.contains(env_state):
+        raise CheckpointError(f"checkpoint env_state: {env_state.tolist()} is not a {spec.id} state")
 
     def index(value, where: str) -> int:  # a member index into a population
         value = _number(int, value, where)
@@ -519,7 +519,7 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         streams=streams,
         buffer=buffer,
         env_state=env_state,
-        obs=obs,
+        obs=env.observe(env_state),
         episode_return=_number(float, get("episode_return"), "episode_return"),
         episode_len=episode_len,
         last_episode_return=_number(float, get("last_episode_return"), "last_episode_return"),

@@ -69,12 +69,11 @@ def distillqn_update(member: Member, schedule: PolyPruneConfig, t: int) -> Membe
         target = np.full(len(member.mask_target), target)
     mask = magnitude_mask(member.params, target)
     params = apply_mask(member.params, mask)
-    if member.target_params is not None:
-        member = replace(member, target_params=apply_mask(member.target_params, mask), target_mask=mask.copy())
     return replace(
         member,
         params=params,
         mask=mask,
         sparsity=sparsity_of(mask),
         mask_target=target,
+        target_params=None if member.target_params is None else apply_mask(member.target_params, mask),
     )

@@ -1,10 +1,11 @@
 """Desk-scale environments with exact dynamics, plus tabular oracles.
 
 All environments are stateless objects: reset() returns an initial internal
-state, step() maps (state, action) to (next_state, reward, done), and
-observe() turns internal state into the network-facing observation. done is
-true termination only; horizon truncation is handled by the caller and never
-signals done, so bootstrapping is cut only at real terminals.
+state, step() maps (state, action) to (next_state, reward, done), observe()
+turns a state into the network-facing observation, and contains() tells
+whether an array of reset()'s shape is a state. done is true termination
+only; horizon truncation is handled by the caller and never signals done, so
+bootstrapping is cut only at real terminals.
 
 Tabular environments (chain, gridworld) expose their exact transition model
 for the value-iteration oracle.
@@ -98,6 +99,9 @@ class ChainEnv:
         obs[int(state[0])] = 1.0
         return obs
 
+    def contains(self, state) -> bool:
+        return all(x in range(self.N) for x in state)
+
     # -- tabular model ------------------------------------------------------
 
     def n_states(self) -> int:
@@ -167,6 +171,9 @@ class GridworldEnv:
         obs = np.zeros(self.SIZE * self.SIZE)
         obs[int(state[0]) * self.SIZE + int(state[1])] = 1.0
         return obs
+
+    def contains(self, state) -> bool:
+        return all(x in range(self.SIZE) for x in state)
 
     def n_states(self) -> int:
         return self.SIZE * self.SIZE
@@ -246,6 +253,9 @@ class CartPoleEnv:
     def observe(self, state) -> np.ndarray:
         return np.asarray(state, dtype=np.float64).copy()
 
+    def contains(self, state) -> bool:
+        return bool(np.isfinite(state).all())
+
 
 class PendulumEnv:
     """Torque-controlled pendulum swing-up; never terminates.
@@ -296,6 +306,9 @@ class PendulumEnv:
     def observe(self, state) -> np.ndarray:
         theta, theta_dot = state
         return np.array([math.cos(theta), math.sin(theta), theta_dot])
+
+    def contains(self, state) -> bool:
+        return bool(np.isfinite(state).all())
 
 
 def _angle_normalize(theta: float) -> float:

@@ -73,7 +73,11 @@ class Member:
     mask_target: float = 0.0
     # Per-member soft target, used by the actor-critic path only.
     target_params: NetworkParams | None = None
-    target_mask: Mask | None = None
+
+    @property
+    def target_mask(self) -> Mask | None:
+        """The soft target's mask: the member's own (None without a soft target)."""
+        return None if self.target_params is None else self.mask
 
 
 @dataclass
@@ -113,7 +117,6 @@ def _map_members(fn, *members: Member) -> Member:
         lineage_id=fn(*(m.lineage_id for m in members)),
         mask_target=fn(*(m.mask_target for m in members)),
         target_params=buffers([m.target_params for m in members]),
-        target_mask=buffers([m.target_mask for m in members]),
     )
 
 
@@ -187,8 +190,8 @@ class Population:
         return Network(self.stack.params.row(k), self.stack.mask.row(k))
 
     def target_network(self, k: int) -> Network:
-        """Row k's soft target and its mask (actor-critic path), as views."""
-        return Network(self.stack.target_params.row(k), self.stack.target_mask.row(k))
+        """Row k's soft target under row k's mask (actor-critic path), as views."""
+        return Network(self.stack.target_params.row(k), self.stack.mask.row(k))
 
     def losses(self) -> list[float]:
         return self.stack.cumulated_loss.tolist()
@@ -204,17 +207,15 @@ def evolve(obj, **changes):
 
 
 def fresh_member(params: NetworkParams, optimizer: AdamState, lineage_id: int, with_target: bool = False) -> Member:
-    mask = mask_of_ones(params)
     return Member(
         params=params,
-        mask=mask,
+        mask=mask_of_ones(params),
         optimizer=optimizer,
         cumulated_loss=0.0,
         sparsity=0.0,
         lineage_id=lineage_id,
         mask_target=0.0,
         target_params=params.copy() if with_target else None,
-        target_mask=mask.copy() if with_target else None,
     )
 
 
@@ -361,7 +362,6 @@ def exploration(
         sparsity=sparsity_of(mask),
         lineage_id=np.arange(first_id, first_id + len(rows)),
         target_params=params,  # written only where the stack holds soft targets
-        target_mask=mask,
     )
 
     def put(a, b):

@@ -127,40 +127,28 @@ class ReplayBuffer:
     # -- checkpoint support --------------------------------------------------
 
     def state_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "insert_count": self.insert_count,
-            "states": self._states,
-            "next_states": self._next_states,
-            "actions": self._actions,
-            "rewards": self._rewards,
-            "dones": self._dones,
-        }
+        """The rings by name (a run's config and step fix capacity and insert count)."""
+        return {key: getattr(self, f"_{key}") for key, _, _ in self._rings()}
 
     @classmethod
     def from_state_dict(
-        cls, state: dict, capacity: int, observation_width: int, action_space, *, copy: bool = True
+        cls, state: dict, capacity: int, observation_width: int, action_space, insert_count: int, *, copy: bool = True
     ) -> "ReplayBuffer":
-        """Rebuild a buffer from state_dict() output without allocating fresh
-        rings. Every ring must match the capacity, observation width and
-        action space, else ConfigError. With copy=False the buffer adopts the
-        arrays, which the caller must not use again (push writes into them)."""
+        """Rebuild a buffer that took insert_count pushes from state_dict()
+        output without allocating fresh rings. Every ring must match the
+        capacity, observation width and action space, else ConfigError. With
+        copy=False the buffer adopts the arrays, which the caller must not
+        use again (push writes into them)."""
         buf = cls.__new__(cls)  # __init__ would allocate rings only to drop them
         buf.capacity = int(capacity)
         buf.observation_width = int(observation_width)
         buf.action_space = action_space
-        buf.insert_count = state["insert_count"]
-        if state["capacity"] != buf.capacity:
-            raise ConfigError(f"replay capacity {state['capacity']!r} does not match {buf.capacity}")
-        if not isinstance(buf.insert_count, int) or buf.insert_count < 0:
-            raise ConfigError(f"replay insert_count must be a non-negative int, got {buf.insert_count!r}")
-        rings = buf._rings()
-        for key, shape, dtype in rings:
+        buf.insert_count = insert_count
+        take = np.copy if copy else np.asarray
+        for key, shape, dtype in buf._rings():
             arr = state[key]
             if not isinstance(arr, np.ndarray) or arr.shape != shape or arr.dtype != dtype:
                 got = f"{arr.dtype}{list(arr.shape)}" if isinstance(arr, np.ndarray) else type(arr).__name__
                 raise ConfigError(f"replay ring {key}: expected {dtype}{list(shape)}, got {got}")
-        take = np.copy if copy else np.asarray
-        for key, _, _ in rings:
-            setattr(buf, f"_{key}", take(state[key]))
+            setattr(buf, f"_{key}", take(arr))
         return buf

@@ -75,10 +75,6 @@ class TwinCriticPopulation:
 
     sides: tuple[Population, Population]
 
-    @property
-    def k(self) -> int:
-        return self.sides[0].k
-
 
 def _policy_heads(policy: GaussianPolicy, out: np.ndarray):
     """The mean and the clamped log_std halves of the actor's network output."""

@@ -222,7 +222,7 @@ def _fresh_population(config: ExperimentConfig, widths, label: str, soft_targets
         # instead of per member, the set-up's transient copies stay small
         # enough to reuse freed memory (per-member targets and optimizers
         # cost ~140 fresh pages, about 1 ms, per call on pendulum).
-        pop.stack = replace(stack, target_params=stack.params.copy(), target_mask=stack.mask.copy())
+        pop.stack = replace(stack, target_params=stack.params.copy())
     else:
         pop.target_params, pop.target_mask = stack.params.row(0).copy(), stack.mask.row(0).copy()
     return pop

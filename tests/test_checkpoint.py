@@ -221,15 +221,17 @@ class TestStateRoundTrip:
             ("states", lambda buf: buf["states"][:10]),
             ("actions", lambda buf: buf["actions"].astype(np.float64)),
             ("insert_count", lambda buf: -5),
-            ("capacity", lambda buf: buf["capacity"] + 1),
+            ("capacity", lambda buf: len(buf["rewards"]) + 1),
         ],
     )
     def test_malformed_replay_buffer_rejected(self, field, bad):
         cfg = chain_config(algorithm="dqn", total=800)
         _, state = run_training(cfg, until_step=600, clock=FIXED_CLOCK)
         payload = state_to_payload(state)
+        # the record holds only the rings: the config fixes the capacity and the step the insert count
+        match = "replay" if field in payload["buffer"] else f"buffer: unknown entry '{field}'"
         payload["buffer"] = dict(payload["buffer"], **{field: bad(payload["buffer"])})
-        with pytest.raises(CheckpointError, match="replay"):
+        with pytest.raises(CheckpointError, match=match):
             payload_to_state(payload)
 
 
@@ -253,7 +255,8 @@ M0 = ("population", "members", 0)
 S0, S1 = ("twin", "sides", 0, "members"), ("twin", "sides", 1, "members")
 # case -> (payload's algorithm, path to a payload entry, its replacement given the old value, error match).
 # A network is stored as its buffer: float64[1474] for a dqn member, [1408] for its mask, [2641] for a
-# pendulum critic, [2544] for a critic mask and [2642] for the actor.
+# pendulum critic, [2544] for a critic mask and [2642] for the actor. A soft target is used under its
+# member's mask and the actor is never pruned, so neither mask is stored: a record holding one is refused.
 MALFORMED_NETWORKS = {
     "weight_cut_to_3_rows": ("dqn", (*M0, "params"), lambda p: p[:3],
                              r"population\.members\[0\]\.params: expected float64\[1474\], got float64\[3\]"),
@@ -283,13 +286,13 @@ MALFORMED_NETWORKS = {
     "soft_target_cut": ("eaude_sac", (*S1, 0, "target_params"), lambda t: t[:3],
                         r"twin\.sides\[1\]\.members\[0\]\.target_params: expected float64\[2641\]"),
     "soft_target_missing": ("eaude_sac", (*S0, 1, "target_params"), lambda t: None, "a soft target per member"),
-    "soft_target_mask_not_binary": ("eaude_sac", (*S0, 1, "target_mask"), _entry(2543, 2.0),
-                                    r"sides\[0\]\.members\[1\]\.target_mask\[2543\]: 2\.0 is not 0 or 1"),
+    "soft_target_mask_not_binary": ("eaude_sac", (*S0, 1), lambda m: dict(m, target_mask=_entry(2543, 2.0)(m["mask"])),
+                                    r"sides\[0\]\.members\[1\]: unknown entry 'target_mask'"),
     "critic_side_missing": ("eaude_sac", ("twin", "sides"), lambda sides: sides[:1], "1 entries, expected 2"),
     "policy_weight": ("eaude_sac", ("policy", "params"), lambda p: p[:1],
                       r"policy\.params: expected float64\[2642\], got float64\[1\]"),
-    "policy_mask_not_binary": ("eaude_sac", ("policy", "mask"), _entry(0, -1.0),
-                               r"policy\.mask\[0\]: -1\.0 is not 0 or 1"),
+    "policy_mask_not_binary": ("eaude_sac", ("policy",), _extra("mask", _entry(0, -1.0)(np.ones(2544))),
+                               "policy: unknown entry 'mask'"),
     "policy_adam_step_count": ("eaude_sac", ("policy", "optimizer", "step_count"), lambda n: -1,
                                r"policy\.optimizer\.step_count: -1 is negative"),
     "population_in_sac": ("eaude_sac", ("population",), lambda pop: {}, "population: not used"),
@@ -301,6 +304,8 @@ def payload_blobs():
     """Encoded mid-run payloads, one per algorithm the malformed cases use."""
     configs = {
         "dqn": chain_config(algorithm="dqn", total=800),
+        **{env: build_config({"algorithm": "dqn", "env": env, "seed": 5, "run.total_steps": 800, "replay.warmup": 200})
+           for env in ("gridworld", "cartpole")},
         "eaude_dqn": chain_config(algorithm="eaude_dqn", total=800, **{"run.target_period": 250}),
         "eaude_sac": build_config({"algorithm": "eaude_sac", "env": "pendulum", "seed": 3, "run.total_steps": 400,
                                    "replay.warmup": 200, "sac.prune_period": 100, "eaude.population": 2,
@@ -323,6 +328,12 @@ MALFORMED_STATE = {
     "last_eval_missing": ("dqn", ("last_eval",), lambda v: DROP, "payload: no 'last_eval' entry"),
     "loss_a_string": ("dqn", (*M0, "cumulated_loss"), lambda v: "0.5",
                       r"members\[0\]\.cumulated_loss: expected float, got str"),
+    # bool subclasses int, but a count or a loss is never a bool
+    "step_a_bool": ("dqn", ("step",), lambda n: True, "step: expected int, got bool"),
+    "loss_a_bool": ("dqn", (*M0, "cumulated_loss"), lambda v: False,
+                    r"members\[0\]\.cumulated_loss: expected float, got bool"),
+    "adam_step_count_a_bool": ("dqn", (*M0, "optimizer", "step_count"), lambda n: True,
+                               r"members\[0\]\.optimizer\.step_count: expected int, got bool"),
     "config_text_an_int": ("dqn", ("config_text",), lambda t: 5, "config_text: expected str, got int"),
     "replay_ring_missing": ("dqn", ("buffer", "states"), lambda r: DROP, "replay buffer does not fit"),
     "stream_missing": ("dqn", ("streams", "replay"), lambda s: DROP,
@@ -333,12 +344,26 @@ MALFORMED_STATE = {
     "stream_state_garbage": ("dqn", ("streams", "env"), lambda s: {"bit_generator": "PCG64", "state": 3},
                              r"streams\['env'\]: not a bit-generator state"),
     "stream_state_a_string": ("dqn", ("streams", "explore"), lambda s: "x", r"streams\['explore'\]"),
-    "obs_cut_to_3": ("dqn", ("obs",), lambda o: o[:3], r"obs: expected float64\[10\], got float64\[3\]"),
-    "obs_float32": ("eaude_sac", ("obs",), lambda o: o.astype(np.float32),
-                    r"obs: expected float64\[3\], got float32\[3\]"),
+    # the observation is env.observe(env_state), so the payload does not store it
+    "obs_cut_to_3": ("dqn", (), _extra("obs", np.zeros(3)), "payload: unknown entry 'obs'"),
+    "obs_float32": ("eaude_sac", (), _extra("obs", np.zeros(3, np.float32)), "payload: unknown entry 'obs'"),
     "env_state_a_string": ("dqn", ("env_state",), lambda s: "x", r"env_state: expected float64\[1\], got str"),
     "env_state_cut": ("eaude_sac", ("env_state",), lambda s: s[:1],
                       r"env_state: expected float64\[2\], got float64\[1\]"),
+    # an env_state of the right shape that is not a state of its env
+    "chain_state_negative": ("dqn", ("env_state",), lambda s: np.array([-1.0]),
+                             r"env_state: \[-1\.0\] is not a chain state"),
+    "chain_state_fractional": ("dqn", ("env_state",), lambda s: np.array([3.5]),
+                               r"env_state: \[3\.5\] is not a chain state"),
+    "chain_state_past_the_end": ("dqn", ("env_state",), lambda s: np.array([99.0]),
+                                 r"env_state: \[99\.0\] is not a chain state"),
+    "gridworld_state_off_the_grid": ("gridworld", ("env_state",), lambda s: np.array([0.0, 5.0]),
+                                     r"env_state: \[0\.0, 5\.0\] is not a gridworld state"),
+    "gridworld_state_fractional": ("gridworld", ("env_state",), lambda s: np.array([1.0, 0.5]),
+                                   r"env_state: \[1\.0, 0\.5\] is not a gridworld state"),
+    "cartpole_state_nan": ("cartpole", ("env_state",), _entry(2, np.nan), r"env_state: \[.*nan.*\] is not a cartpole"),
+    "pendulum_state_infinite": ("eaude_sac", ("env_state",), _entry(0, np.inf),
+                                r"env_state: \[inf, .*\] is not a pendulum state"),
     "negative_episode_len": ("dqn", ("episode_len",), lambda n: -1, "episode_len -1 is negative"),
     "logged_champion_outside": ("dqn", ("logged_champion",), lambda i: 99, r"logged_champion: 99 outside \[0, 1\)"),
     "logged_behavior_negative": ("eaude_dqn", ("logged_behavior",), lambda i: -1,
@@ -386,8 +411,8 @@ MALFORMED_STATE = {
 
 def _assert_rejected(algorithm, path, replace, match, payload_blobs):
     payload_to_state(decode_payload(payload_blobs[algorithm]))  # the unmodified payload loads
-    payload = decode_payload(payload_blobs[algorithm])
-    parent = payload
+    root = [decode_payload(payload_blobs[algorithm])]
+    parent, path = root, (0, *path)  # an empty path replaces the whole payload
     for key in path[:-1]:
         parent = parent[key]
     value = replace(parent[path[-1]])
@@ -396,7 +421,7 @@ def _assert_rejected(algorithm, path, replace, match, payload_blobs):
     else:
         parent[path[-1]] = value
     with pytest.raises(CheckpointError, match=match):
-        payload_to_state(payload)
+        payload_to_state(root[0])
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_NETWORKS))

@@ -103,11 +103,12 @@ class TestTrain:
         cfg_path = write_config(tmp_path)
         old = tmp_path / "old.ckpt"
         save_checkpoint(init_state(load_config(cfg_path)), old)
-        old.write_bytes(b"EAUDECK1" + old.read_bytes()[8:])
-        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--resume", str(old)]) == 2
-        assert "checkpoint format EAUDECK1 is not this version's EAUDECK2" in capsys.readouterr().err
-        assert main(["inspect", "--checkpoint", str(old)]) == 2
-        assert "checkpoint format EAUDECK1 is not this version's EAUDECK2" in capsys.readouterr().err
+        for version in ("EAUDECK1", "EAUDECK2"):
+            old.write_bytes(version.encode() + old.read_bytes()[8:])
+            assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--resume", str(old)]) == 2
+            assert f"checkpoint format {version} is not this version's EAUDECK3" in capsys.readouterr().err
+            assert main(["inspect", "--checkpoint", str(old)]) == 2
+            assert f"checkpoint format {version} is not this version's EAUDECK3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_resume_continues_to_completion(self, tmp_path):
@@ -151,6 +152,16 @@ class TestEvaluateAndInspect:
         junk.write_bytes(b"garbage")
         assert main(["inspect", "--checkpoint", str(junk)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_checkpoint_outside_its_env_exits_2(self, run_dir, tmp_path, capsys):
+        from eaudeqn.checkpoint import decode_payload, encode_payload
+
+        payload = decode_payload((run_dir / "checkpoint.ckpt").read_bytes())
+        payload["env_state"] = np.array([99.0])  # the chain has 10 states
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(encode_payload(payload))
+        assert main(["inspect", "--checkpoint", str(bad)]) == 2
+        assert "env_state: [99.0] is not a chain state" in capsys.readouterr().err
 
     def test_deeply_nested_checkpoint_exits_2(self, run_dir, tmp_path, capsys):
         magic = (run_dir / "checkpoint.ckpt").read_bytes()[:8]

@@ -102,8 +102,8 @@ class TestStateDict:
         for tag in range(6):
             buf.push(tr(tag))
         state = buf.state_dict()
-        copied = ReplayBuffer.from_state_dict(state, 4, 3, DiscreteSpace(2))
-        adopted = ReplayBuffer.from_state_dict(state, 4, 3, DiscreteSpace(2), copy=False)
+        copied = ReplayBuffer.from_state_dict(state, 4, 3, DiscreteSpace(2), 6)
+        adopted = ReplayBuffer.from_state_dict(state, 4, 3, DiscreteSpace(2), 6, copy=False)
         for restored in (copied, adopted):
             assert restored.size == 4 and restored.insert_count == 6
             assert [t.reward for t in restored.snapshot()] == [2.0, 3.0, 4.0, 5.0]

@@ -207,7 +207,7 @@ class TestOtherEnvsAndAlgorithms:
              "replay.warmup": 200}
         )
         log, state = run_training(cfg, clock=FIXED_CLOCK)
-        assert state.twin.k == 1
+        assert [side.k for side in state.twin.sides] == [1, 1]
         assert state.twin.sides[0].members[0].optimizer.step_count == 300
         assert not any(e["kind"] == "sac_prune" for e in log.events)
 
