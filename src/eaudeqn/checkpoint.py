@@ -32,7 +32,7 @@ from .sac import GaussianPolicy, TwinCriticPopulation
 from .training import SAC_STREAMS, VALUE_STREAMS, TrainState
 from .envs import make_env
 
-_MAGIC = b"EAUDECK3"
+_MAGIC = b"EAUDECK4"
 
 
 # -- binary codec -------------------------------------------------------------
@@ -226,7 +226,9 @@ def decode_payload(blob: bytes) -> dict:
 # or a mask is stored as its float64 buffer; a soft target has no mask of its
 # own (it is used under its member's). The payload leaves out obs, which is
 # env.observe(env_state), and the replay buffer's capacity and insert count
-# (the config's, and the step). Restoring walks the same fields, led by their
+# (the config's, and the step); of each replay ring it holds only the rows
+# written so far, the first min(step, capacity), and restore rebuilds the
+# full ring around them. Restoring walks the same fields, led by their
 # type hints, and checks every buffer against the config before any state is
 # returned. A missing or unknown entry or a value of the wrong type anywhere in
 # the payload is a CheckpointError, never a KeyError or a TypeError. A
@@ -436,8 +438,9 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
     """Rebuild a TrainState, refusing with CheckpointError any entry that is
     missing, unknown, of the wrong type or does not fit the config: networks,
     replay rings, random streams and the env state. The replay buffer copies
-    the payload's arrays unless adopt_buffer is set, as for a payload that was
-    just decoded and has no other user."""
+    the payload's rows into fresh rings, except that with adopt_buffer set it
+    adopts full rings as they are, as for a payload that was just decoded and
+    has no other user."""
 
     get = _fields(payload, _PAYLOAD_KEYS, "payload").__getitem__
     text = get("config_text")

@@ -79,7 +79,11 @@ def _cmd_evaluate(args) -> int:
     agent = state.policy if state.policy is not None else state.population.network(state.population.champion_index)
     seed = args.seed if args.seed is not None else config.seed
     rng = RngStream(seed, "cli/evaluate")
-    mean = evaluate_policy(agent, env, args.episodes, rng)
+    try:
+        mean = evaluate_policy(agent, env, args.episodes, rng)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     print(f"mean raw return over {args.episodes} episodes: {mean!r}")
     return 0
 
@@ -122,6 +126,7 @@ def _cmd_inspect(args) -> int:
     print(f"env: {config.env}")
     print(f"seed: {config.seed}")
     print(f"step: {state.step} / {config.total_steps}")
+    print(f"replay: {state.buffer.size} / {state.buffer.capacity} transitions")
     if state.population is not None:
         pop = state.population
         print(f"champion slot: {pop.champion_index}")

@@ -60,9 +60,12 @@ def distillqn_update(member: Member, schedule: PolyPruneConfig, t: int) -> Membe
     The mask is recomputed from current weight magnitudes and the masked
     weights zeroed; a member's soft target (actor-critic path) is zeroed under
     the same mask, so pruned weights cannot leak back through it. The
-    optimizer is intentionally left intact (only population duplicates get
-    optimizer resets). A population's stack is pruned in one call, every row
-    to the same target.
+    optimizer is kept (only population duplicates get optimizer resets), but
+    its moments are zeroed under the mask: the weights they belong to are
+    re-zeroed after every step, so they never reach a parameter, and left
+    alone they decay through the subnormal range, which slows every later
+    Adam step. A population's stack is pruned in one call, every row to the
+    same target.
     """
     target = poly_schedule(t, schedule)
     if np.ndim(member.mask_target):
@@ -75,5 +78,8 @@ def distillqn_update(member: Member, schedule: PolyPruneConfig, t: int) -> Membe
         mask=mask,
         sparsity=sparsity_of(mask),
         mask_target=target,
+        optimizer=replace(
+            member.optimizer, m=apply_mask(member.optimizer.m, mask), v=apply_mask(member.optimizer.v, mask)
+        ),
         target_params=None if member.target_params is None else apply_mask(member.target_params, mask),
     )

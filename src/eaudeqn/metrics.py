@@ -19,8 +19,14 @@ def iqm(values) -> float:
     return sum(kept.tolist()) / kept.size
 
 
+def _check_resamples(resamples: int) -> None:
+    if resamples < 1:
+        raise ConfigError(f"resamples must be >= 1, got {resamples}")
+
+
 def bootstrap_iqm_interval(values, resamples: int = 2000, seed: int = 0) -> tuple[float, float]:
     """Seeded percentile-bootstrap 95% interval of the IQM."""
+    _check_resamples(resamples)
     arr = np.asarray(values, dtype=np.float64)
     rng = RngStream(seed, "bootstrap")
     stats = np.empty(resamples)
@@ -104,6 +110,7 @@ def aggregate_runs(
     run has no value yet (nan) are skipped.
     """
     check_same_schema(runs)
+    _check_resamples(resamples)  # also when no step has a value to resample
     steps = runs[0]["steps"]
     rows = []
     for i, step in enumerate(steps):

@@ -39,11 +39,17 @@ class ReplayBuffer:
         self.observation_width = int(observation_width)
         self.action_space = action_space
         self.insert_count = 0
-        # One zeroed block holds every ring. Freeing a block that large makes
-        # glibc raise its heap trim threshold above a buffer's size, so later
-        # set-ups and checkpoint loads in the process reuse freed pages; with
-        # one allocation per ring, repeated pendulum set-ups and loads could
-        # settle into trimming and re-faulting ~1,100 pages each time.
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """Set every ring to a zeroed view into one new block.
+
+        Freeing a block that large makes glibc raise its heap trim threshold
+        above a buffer's size, so later set-ups and checkpoint loads in the
+        process reuse freed pages; with one allocation per ring, repeated
+        pendulum set-ups and loads could settle into trimming and re-faulting
+        ~1,100 pages each time.
+        """
         rings = self._rings()
         sizes = [int(np.prod(shape)) * dtype.itemsize for _, shape, dtype in rings]
         block = np.zeros(sum(sizes), dtype=np.uint8)
@@ -127,28 +133,42 @@ class ReplayBuffer:
     # -- checkpoint support --------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The rings by name (a run's config and step fix capacity and insert count)."""
-        return {key: getattr(self, f"_{key}") for key, _, _ in self._rings()}
+        """The rows written so far by ring name: each ring's first `size` rows,
+        the ring itself once it is full. Rows past `size` were never written
+        and are never sampled; a run's config and step fix capacity and insert
+        count."""
+        n = self.size
+        rings = {key: getattr(self, f"_{key}") for key, _, _ in self._rings()}
+        return rings if n == self.capacity else {key: ring[:n] for key, ring in rings.items()}
 
     @classmethod
     def from_state_dict(
         cls, state: dict, capacity: int, observation_width: int, action_space, insert_count: int, *, copy: bool = True
     ) -> "ReplayBuffer":
         """Rebuild a buffer that took insert_count pushes from state_dict()
-        output without allocating fresh rings. Every ring must match the
-        capacity, observation width and action space, else ConfigError. With
-        copy=False the buffer adopts the arrays, which the caller must not
-        use again (push writes into them)."""
-        buf = cls.__new__(cls)  # __init__ would allocate rings only to drop them
+        output. Every ring must hold min(insert_count, capacity) rows of the
+        observation width and action space, else ConfigError. The rows are
+        copied into fresh full-capacity rings, except that with copy=False
+        full rings are adopted as they are: the caller must not use them
+        again (push writes into them)."""
+        buf = cls.__new__(cls)  # __init__ would allocate rings that adoption drops
         buf.capacity = int(capacity)
         buf.observation_width = int(observation_width)
         buf.action_space = action_space
         buf.insert_count = insert_count
-        take = np.copy if copy else np.asarray
+        n = buf.size
+        rings = {}
         for key, shape, dtype in buf._rings():
-            arr = state[key]
+            arr, shape = state[key], (n, *shape[1:])
             if not isinstance(arr, np.ndarray) or arr.shape != shape or arr.dtype != dtype:
                 got = f"{arr.dtype}{list(arr.shape)}" if isinstance(arr, np.ndarray) else type(arr).__name__
                 raise ConfigError(f"replay ring {key}: expected {dtype}{list(shape)}, got {got}")
-            setattr(buf, f"_{key}", take(arr))
+            rings[key] = arr
+        if not copy and n == buf.capacity:
+            for key, arr in rings.items():
+                setattr(buf, f"_{key}", arr)
+        else:
+            buf._allocate()
+            for key, arr in rings.items():
+                getattr(buf, f"_{key}")[:n] = arr
         return buf

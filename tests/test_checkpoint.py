@@ -205,6 +205,19 @@ class TestStateRoundTrip:
         with pytest.raises(CheckpointError, match="payload: unknown entry 'extra'"):
             payload_to_state(payload)
 
+    def test_buffer_record_holds_the_written_rows(self, tmp_path):
+        cfg = chain_config(algorithm="dqn", total=800, **{"replay.capacity": 400, "replay.warmup": 200})
+        for step in (300, 600):  # before the 400-row ring fills, and after it wraps
+            _, state = run_training(cfg, until_step=step, clock=FIXED_CLOCK)
+            record = state_to_payload(state)["buffer"]
+            assert {key: len(ring) for key, ring in record.items()} == dict.fromkeys(record, min(step, 400))
+            save_checkpoint(state, tmp_path / "state.ckpt")
+            restored = load_checkpoint(tmp_path / "state.ckpt")
+            assert restored.buffer.capacity == 400 and len(restored.buffer._states) == 400
+            before, after = state.buffer.snapshot(), restored.buffer.snapshot()
+            assert [t.reward for t in after] == [t.reward for t in before]
+            assert np.array_equal([t.state for t in after], [t.state for t in before])
+
     def test_in_memory_restore_does_not_share_the_buffer(self):
         cfg = chain_config(total=600)
         _, state = run_training(cfg, until_step=300, clock=FIXED_CLOCK)
@@ -222,6 +235,9 @@ class TestStateRoundTrip:
             ("actions", lambda buf: buf["actions"].astype(np.float64)),
             ("insert_count", lambda buf: -5),
             ("capacity", lambda buf: len(buf["rewards"]) + 1),
+            # at step 600 a ring holds its 600 written rows, not the whole 10,000-row ring (the EAUDECK3 layout)
+            pytest.param("states", lambda buf: np.resize(buf["states"], (10_000, 10)), id="states_of_the_whole_ring"),
+            pytest.param("rewards", lambda buf: buf["rewards"][:-1], id="rewards_one_row_short"),
         ],
     )
     def test_malformed_replay_buffer_rejected(self, field, bad):
@@ -229,7 +245,8 @@ class TestStateRoundTrip:
         _, state = run_training(cfg, until_step=600, clock=FIXED_CLOCK)
         payload = state_to_payload(state)
         # the record holds only the rings: the config fixes the capacity and the step the insert count
-        match = "replay" if field in payload["buffer"] else f"buffer: unknown entry '{field}'"
+        ring = rf"replay ring {field}: expected \w+\[600\b"  # each ring holds the 600 rows written
+        match = ring if field in payload["buffer"] else f"buffer: unknown entry '{field}'"
         payload["buffer"] = dict(payload["buffer"], **{field: bad(payload["buffer"])})
         with pytest.raises(CheckpointError, match=match):
             payload_to_state(payload)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -103,12 +104,12 @@ class TestTrain:
         cfg_path = write_config(tmp_path)
         old = tmp_path / "old.ckpt"
         save_checkpoint(init_state(load_config(cfg_path)), old)
-        for version in ("EAUDECK1", "EAUDECK2"):
+        for version in ("EAUDECK1", "EAUDECK2", "EAUDECK3"):
             old.write_bytes(version.encode() + old.read_bytes()[8:])
             assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--resume", str(old)]) == 2
-            assert f"checkpoint format {version} is not this version's EAUDECK3" in capsys.readouterr().err
+            assert f"checkpoint format {version} is not this version's EAUDECK4" in capsys.readouterr().err
             assert main(["inspect", "--checkpoint", str(old)]) == 2
-            assert f"checkpoint format {version} is not this version's EAUDECK3" in capsys.readouterr().err
+            assert f"checkpoint format {version} is not this version's EAUDECK4" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_resume_continues_to_completion(self, tmp_path):
@@ -139,6 +140,12 @@ class TestEvaluateAndInspect:
         assert code == 0
         assert "mean raw return over 3 episodes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("episodes", ["0", "-2"])
+    def test_evaluate_without_episodes_exits_2(self, run_dir, capsys, episodes):
+        code = main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.ckpt"), "--episodes", episodes])
+        assert code == 2
+        assert "config error: episodes must be >= 1" in capsys.readouterr().err
+
     def test_inspect_prints_members(self, run_dir, capsys):
         code = main(["inspect", "--checkpoint", str(run_dir / "checkpoint.ckpt")])
         assert code == 0
@@ -146,6 +153,7 @@ class TestEvaluateAndInspect:
         assert "algorithm: dqn" in text
         assert "member 0: sparsity=" in text
         assert "step: 700 / 700" in text
+        assert "replay: 700 / 10000 transitions" in text
 
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys):
         junk = tmp_path / "junk.ckpt"
@@ -198,6 +206,16 @@ class TestAggregate:
         assert main(["train", "--config", str(cfg_b), "--out", str(runs / "b")]) == 0
         assert main(["aggregate", "--runs", str(runs), "--out", str(tmp_path / "x.csv")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_resamples_below_one_exit_2(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(runs / "a")]) == 0
+        shutil.copytree(runs / "a", runs / "b")
+        for resamples in ("0", "-3"):
+            out_csv = tmp_path / "x.csv"
+            assert main(["aggregate", "--runs", str(runs), "--out", str(out_csv), "--resamples", resamples]) == 2
+            assert f"config error: resamples must be >= 1, got {resamples}" in capsys.readouterr().err
+            assert not out_csv.exists()
 
     def test_empty_directory_exits_2(self, tmp_path, capsys):
         assert main(["aggregate", "--runs", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 2

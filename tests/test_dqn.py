@@ -156,6 +156,18 @@ class TestDistillUpdate:
         pruned = distillqn_update(member, self.CFG, 250)
         assert pruned.optimizer.step_count == member.optimizer.step_count == 1
 
+    def test_adam_moments_zeroed_under_the_new_mask(self):
+        member = make_member(widths=(6, 16, 3))
+        x = RngStream(3, "x").normal(size=(4, 6))
+        batch = batch_of(x, [0, 1, 2, 1], np.zeros(4), x, np.zeros(4))
+        member, _ = train_member(member, batch, np.ones(4))
+        pruned = distillqn_update(member, self.CFG, 250)
+        n = member.params.layout.n_weights
+        for old, new in ((member.optimizer.m, pruned.optimizer.m), (member.optimizer.v, pruned.optimizer.v)):
+            assert np.array_equal(new.flat[:n], old.flat[:n] * pruned.mask.flat)
+            assert np.count_nonzero(new.flat[:n]) < np.count_nonzero(old.flat[:n])
+            assert np.array_equal(new.flat[n:], old.flat[n:])  # biases are never masked
+
     def test_sparsity_monotone_over_schedule(self):
         member = make_member(widths=(6, 32, 3))
         values = []

@@ -42,6 +42,11 @@ class TestBootstrap:
         lo, hi = bootstrap_iqm_interval([2.0, 2.0, 2.0, 2.0, 2.0])
         assert lo == hi == 2.0
 
+    @pytest.mark.parametrize("resamples", [0, -3])
+    def test_resamples_below_one_rejected(self, resamples):
+        with pytest.raises(ConfigError, match=f"resamples must be >= 1, got {resamples}"):
+            bootstrap_iqm_interval([0.1, 0.9, 0.4], resamples=resamples)
+
     def test_seeded_reproducible(self):
         values = [0.1, 0.9, 0.4, 0.7, 0.2]
         assert bootstrap_iqm_interval(values, seed=3) == bootstrap_iqm_interval(values, seed=3)

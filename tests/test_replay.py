@@ -109,3 +109,16 @@ class TestStateDict:
             assert [t.reward for t in restored.snapshot()] == [2.0, 3.0, 4.0, 5.0]
         assert not np.shares_memory(copied._states, buf._states)
         assert adopted._states is buf._states
+
+    def test_partly_filled_ring_keeps_only_written_rows(self):
+        buf = make_buffer(5)
+        for tag in range(3):
+            buf.push(tr(tag))
+        state = buf.state_dict()
+        assert {key: len(ring) for key, ring in state.items()} == dict.fromkeys(state, 3)
+        restored = ReplayBuffer.from_state_dict(state, 5, 3, DiscreteSpace(2), 3, copy=False)
+        assert restored._states.shape == (5, 3) and restored._rewards.shape == (5,)
+        assert not np.shares_memory(restored._states, buf._states)
+        restored.push(tr(7))
+        assert restored._rewards.tolist() == [0.0, 1.0, 2.0, 7.0, 0.0]
+        assert [t.reward for t in restored.snapshot()] == [0.0, 1.0, 2.0, 7.0]
