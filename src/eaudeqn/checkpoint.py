@@ -32,7 +32,7 @@ from .sac import GaussianPolicy, TwinCriticPopulation
 from .training import SAC_STREAMS, VALUE_STREAMS, TrainState
 from .envs import make_env
 
-_MAGIC = b"EAUDECK4"
+_MAGIC = b"EAUDECK5"
 
 
 # -- binary codec -------------------------------------------------------------
@@ -223,17 +223,21 @@ def decode_payload(blob: bytes) -> dict:
 # A state object is stored as a record: a dict of its dataclass fields by
 # name, in field order, leaving out the fields in _DERIVED, which restore sets
 # from the config, the env's action box or the record's own arrays. A network
-# or a mask is stored as its float64 buffer; a soft target has no mask of its
-# own (it is used under its member's). The payload leaves out obs, which is
-# env.observe(env_state), and the replay buffer's capacity and insert count
-# (the config's, and the step); of each replay ring it holds only the rows
-# written so far, the first min(step, capacity), and restore rebuilds the
-# full ring around them. Restoring walks the same fields, led by their
-# type hints, and checks every buffer against the config before any state is
-# returned. A missing or unknown entry or a value of the wrong type anywhere in
-# the payload is a CheckpointError, never a KeyError or a TypeError. A
-# Population stores one member record per row; restore rebuilds each as a
-# plain Member, like every other record, and Population(members, ...) stacks them.
+# is stored as its float64 buffer and a mask as the packed bits of its 0/1
+# entries (np.packbits, uint8, the last byte's unused bits 0); a soft target
+# has no mask of its own (it is used under its member's). The payload leaves
+# out obs, which is env.observe(env_state), and the replay buffer's capacity
+# and insert count (the config's, and the step); of each replay ring it holds
+# only the rows written so far, the first min(step, capacity), and of the next
+# states only the rows that are not bit for bit the next slot's state (an
+# episode end, and the last written slot), so restore rebuilds the full rings
+# around them (ReplayBuffer.state_dict). Restoring walks the same fields, led
+# by their type hints, and checks every buffer against the config before any
+# state is returned. A missing or unknown entry or a value of the wrong type
+# anywhere in the payload is a CheckpointError, never a KeyError or a
+# TypeError. A Population stores one member record per row; restore rebuilds
+# each as a plain Member, like every other record, and Population(members,
+# ...) stacks them.
 
 _PLAIN = {float, int, bool, str, type(None), np.ndarray}  # stored as they are
 _NUMBERS = {int: (int, np.integer), float: (float, int, np.floating, np.integer)}
@@ -252,8 +256,10 @@ def _record(obj):
     """The payload form of a state object or of one of its field values."""
     if type(obj) in _PLAIN:
         return obj
-    if isinstance(obj, (NetworkParams, Mask)):
+    if isinstance(obj, NetworkParams):
         return obj.flat
+    if isinstance(obj, Mask):
+        return np.packbits(obj.flat != 0.0)
     if isinstance(obj, (list, tuple)):
         return [_record(x) for x in obj]
     if not dataclasses.is_dataclass(obj):
@@ -329,12 +335,13 @@ def _restore(hint, record, net: _Net, where: str):
     fit the config: network and mask buffers that do not match `net`,
     negative int fields, and populations whose member count, champion index,
     targets, masks or member scalars do not fit."""
-    if hint is NetworkParams or hint is Mask:
-        size = net.layout.size if hint is NetworkParams else net.layout.n_weights
+    if hint is NetworkParams:
+        size = net.layout.size
         if type(record) is not np.ndarray or record.dtype != np.float64 or record.shape != (size,):
             raise CheckpointError(f"checkpoint {where}: expected float64[{size}], got {_kind(record)}")
-        flat = record.copy()
-        return NetworkParams.of(flat, net.specs) if hint is NetworkParams else Mask.of(flat, net.layout)
+        return NetworkParams.of(record.copy(), net.specs)
+    if hint is Mask:
+        return Mask.of(_unpack_mask(record, net.layout.n_weights, where), net.layout)
     if isinstance(hint, types.GenericAlias):  # a fixed-length tuple
         hints = typing.get_args(hint)
         if len(_list(record, where)) != len(hints):
@@ -376,8 +383,6 @@ def _restore(hint, record, net: _Net, where: str):
         raise CheckpointError(f"checkpoint {where}: this config's population has {wanted} and no other")
     population = Population(members, **kwargs)
     stack = population.stack
-    _check_binary(stack.mask, f"{where}.members[*].mask")  # one check per stack
-    _check_binary(kwargs["target_mask"], f"{where}.target_mask")
     ids, target = stack.lineage_id, stack.mask_target
     for name, bad, why in (
         ("mask_target", ~((target >= 0.0) & (target < 1.0)), "is outside [0, 1)"),
@@ -391,18 +396,16 @@ def _restore(hint, record, net: _Net, where: str):
     return population
 
 
-def _check_binary(mask: Mask | None, where: str) -> None:
-    """Refuse a mask, or a stack of member masks ("members[*]" in where),
-    holding values other than 0 and 1; names the first one's flat index."""
-    if mask is None:
-        return
-    bad = (mask.flat != 0.0) & (mask.flat != 1.0)
-    if bad.any():
-        *row, i = np.argwhere(bad)[0].tolist()
-        value = float(mask.flat[(*row, i)])
-        if row:
-            where = where.replace("*", str(row[0]))
-        raise CheckpointError(f"checkpoint {where}[{i}]: {value!r} is not 0 or 1")
+def _unpack_mask(record, size: int, where: str) -> np.ndarray:
+    """The float64 0/1 mask of `size` weights that a record of its packed bits
+    holds, refusing a record of another dtype or length or with a padding bit
+    set past the last weight."""
+    nbytes = -(-size // 8)
+    if type(record) is not np.ndarray or record.dtype != np.uint8 or record.shape != (nbytes,):
+        raise CheckpointError(f"checkpoint {where}: expected uint8[{nbytes}], {size} mask bits, got {_kind(record)}")
+    if size % 8 and record[-1] & (0xFF >> size % 8):
+        raise CheckpointError(f"checkpoint {where}: padding bits set past the last of {size} weights")
+    return np.unpackbits(record, count=size).astype(np.float64)
 
 
 def _part(hint, record, net: _Net | None, where: str):
@@ -467,7 +470,7 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         )
     except (ConfigError, KeyError, TypeError) as err:
         raise CheckpointError(f"checkpoint replay buffer does not fit this config: {err!r}") from err
-    _fields(get("buffer"), frozenset(buffer.state_dict()), "buffer")
+    _fields(get("buffer"), ReplayBuffer.RECORD_KEYS, "buffer")
     k = config.population_size
     # the values of the _DERIVED fields that the config and the env fix, by
     # record type; a type is only restored under its own role, so one table

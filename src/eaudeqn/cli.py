@@ -100,7 +100,7 @@ def _cmd_aggregate(args) -> int:
             config = load_config(d / "config.txt")
             tables.append(parse_run_csv((d / "log.csv").read_text(encoding="utf-8"), config, metric=args.metric))
         rows = aggregate_runs(tables, metric=args.metric, resamples=args.resamples, seed=args.bootstrap_seed)
-    except (ConfigError, SchemaMismatchError, DataFormatError) as err:
+    except (ConfigError, SchemaMismatchError, DataFormatError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     header = [

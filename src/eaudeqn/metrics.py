@@ -107,7 +107,8 @@ def aggregate_runs(
 
     Each run dict carries: algorithm, env, population, columns, steps,
     normalized returns under `metric`, and champion_sparsity. Steps where any
-    run has no value yet (nan) are skipped.
+    run has no value yet (nan) are skipped; if that leaves no step, there is
+    nothing to aggregate and ConfigError is raised.
     """
     check_same_schema(runs)
     _check_resamples(resamples)  # also when no step has a value to resample
@@ -131,5 +132,10 @@ def aggregate_runs(
                 "champion_sparsity_ci_low": sp_lo,
                 "champion_sparsity_ci_high": sp_hi,
             }
+        )
+    if not rows:
+        raise ConfigError(
+            f"none of the {len(steps)} logging steps has a finite {metric} in all {len(runs)} runs; "
+            "nothing to aggregate"
         )
     return rows

@@ -210,13 +210,86 @@ class TestStateRoundTrip:
         for step in (300, 600):  # before the 400-row ring fills, and after it wraps
             _, state = run_training(cfg, until_step=step, clock=FIXED_CLOCK)
             record = state_to_payload(state)["buffer"]
-            assert {key: len(ring) for key, ring in record.items()} == dict.fromkeys(record, min(step, 400))
+            rings = ("states", "actions", "rewards", "dones")
+            assert {key: len(record[key]) for key in rings} == dict.fromkeys(rings, min(step, 400))
+            # next states only where the next slot's state is not the same (an episode end or the last slot)
+            assert len(record["next_states"]) == len(record["next_state_rows"]) < min(step, 400) // 2
             save_checkpoint(state, tmp_path / "state.ckpt")
             restored = load_checkpoint(tmp_path / "state.ckpt")
             assert restored.buffer.capacity == 400 and len(restored.buffer._states) == 400
             before, after = state.buffer.snapshot(), restored.buffer.snapshot()
             assert [t.reward for t in after] == [t.reward for t in before]
             assert np.array_equal([t.state for t in after], [t.state for t in before])
+            assert np.array_equal([t.next_state for t in after], [t.next_state for t in before])
+
+    @pytest.mark.parametrize(
+        "algorithm, env, overrides",
+        [
+            ("dqn", "chain", {"run.total_steps": 700}),  # a partial ring
+            ("dqn", "cartpole", {"run.total_steps": 1_300, "replay.capacity": 500, "replay.warmup": 200}),  # wrapped
+        ],
+    )
+    def test_next_state_rows_are_the_episode_ends(self, monkeypatch, algorithm, env, overrides):
+        from eaudeqn.envs import make_env
+        from eaudeqn.replay import ReplayBuffer
+
+        pushed = []
+        push = ReplayBuffer.push
+        monkeypatch.setattr(ReplayBuffer, "push", lambda buf, t: (pushed.append(t), push(buf, t)))
+        cfg = build_config({"algorithm": algorithm, "env": env, "seed": 4, **overrides})
+        _, state = run_training(cfg, clock=FIXED_CLOCK)
+        horizon, capacity, steps = make_env(env).spec.horizon, cfg.buffer_capacity, len(pushed)
+        ends, length = [], 0
+        for step, t in enumerate(pushed):  # the training loop's episode bookkeeping
+            length += 1
+            if t.done or length >= horizon:
+                ends.append(step)
+                length = 0
+        # an episode end is left out only where the next episode starts in the state this one ended in: on
+        # chain, a 100-step episode that ends back in state 0; on cart-pole, whose resets are random, never
+        same = [s for s in ends if s + 1 < steps and pushed[s].next_state.tobytes() == pushed[s + 1].state.tobytes()]
+        assert all(pushed[s].next_state[0] == 1.0 and not pushed[s].done for s in same) if env == "chain" else not same
+        kept = {s % capacity for s in ends if s >= steps - capacity and s not in same}  # the steps the ring holds
+        expected = sorted(kept | {(steps - 1) % capacity})  # and the last written slot
+        rows = state_to_payload(state)["buffer"]["next_state_rows"]
+        assert len(ends) > 5 and rows.dtype == np.int64
+        assert rows.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "case, bad, match",
+        [
+            ("rows_unsorted", lambda b: dict(b, next_state_rows=b["next_state_rows"][::-1]),
+             r"next_state_rows: slot \d+ follows \d+, not increasing"),
+            ("row_twice", lambda b: dict(b, next_state_rows=np.insert(b["next_state_rows"], 1, b["next_state_rows"][0]),
+                                         next_states=np.insert(b["next_states"], 1, b["next_states"][0], axis=0)),
+             r"next_state_rows: slot (\d+) follows \1, not increasing"),
+            ("row_negative", lambda b: dict(b, next_state_rows=np.insert(b["next_state_rows"], 0, -1),
+                                            next_states=np.insert(b["next_states"], 0, 0.0, axis=0)),
+             r"next_state_rows: slot -1 outside \[0, 600\)"),
+            ("row_unwritten", lambda b: dict(b, next_state_rows=np.append(b["next_state_rows"], 600),
+                                             next_states=np.append(b["next_states"], np.zeros((1, 10)), axis=0)),
+             r"next_state_rows: slot 600 outside \[0, 600\)"),
+            ("rows_int32", lambda b: dict(b, next_state_rows=b["next_state_rows"].astype(np.int32)),
+             r"next_state_rows: expected int64\[k\], got int32\["),
+            ("rows_a_list", lambda b: dict(b, next_state_rows=b["next_state_rows"].tolist()),
+             r"next_state_rows: expected int64\[k\], got list"),
+            ("next_states_a_row_short", lambda b: dict(b, next_states=b["next_states"][:-1]),
+             r"replay ring next_states: expected float64\[\d+, 10\], got float64\[\d+, 10\]"),
+            ("next_states_float32", lambda b: dict(b, next_states=b["next_states"].astype(np.float32)),
+             r"replay ring next_states: expected float64\[\d+, 10\], got float32"),
+            ("next_states_the_whole_ring", lambda b: dict(b, next_states=np.zeros((10_000, 10))),
+             r"replay ring next_states: expected float64\[\d+, 10\], got float64\[10000, 10\]"),
+            ("last_written_slot_missing", lambda b: dict(b, next_state_rows=b["next_state_rows"][:-1],
+                                                         next_states=b["next_states"][:-1]),
+             "next_state_rows: the last written slot 599 of a partial ring is missing"),
+        ],
+    )
+    def test_malformed_next_states_rejected(self, payload_blobs, case, bad, match):
+        payload = decode_payload(payload_blobs["dqn"])  # step 600 of a 10,000-row ring
+        assert payload["buffer"]["next_state_rows"][-1] == 599 and len(payload["buffer"]["next_state_rows"]) > 2
+        payload["buffer"] = bad(payload["buffer"])
+        with pytest.raises(CheckpointError, match=match):
+            payload_to_state(payload)
 
     def test_in_memory_restore_does_not_share_the_buffer(self):
         cfg = chain_config(total=600)
@@ -271,9 +344,10 @@ def _extra(key, value):
 M0 = ("population", "members", 0)
 S0, S1 = ("twin", "sides", 0, "members"), ("twin", "sides", 1, "members")
 # case -> (payload's algorithm, path to a payload entry, its replacement given the old value, error match).
-# A network is stored as its buffer: float64[1474] for a dqn member, [1408] for its mask, [2641] for a
-# pendulum critic, [2544] for a critic mask and [2642] for the actor. A soft target is used under its
-# member's mask and the actor is never pruned, so neither mask is stored: a record holding one is refused.
+# A network is stored as its buffer: float64[1474] for a dqn member, [2641] for a pendulum critic and [2642]
+# for the actor. A mask is stored as the packed bits of its 0/1 entries: uint8[176] for a dqn member's 1408
+# weights. A soft target is used under its member's mask and the actor is never pruned, so neither mask is
+# stored: a record holding one is refused.
 MALFORMED_NETWORKS = {
     "weight_cut_to_3_rows": ("dqn", (*M0, "params"), lambda p: p[:3],
                              r"population\.members\[0\]\.params: expected float64\[1474\], got float64\[3\]"),
@@ -285,11 +359,21 @@ MALFORMED_NETWORKS = {
     "shared_target": ("dqn", ("population", "target_params"), lambda t: t.reshape(2, -1),
                       r"population\.target_params: expected float64\[1474\], got float64\[2, 737\]"),
     "shared_target_missing": ("dqn", ("population", "target_params"), lambda t: None, "one shared target"),
-    "mask_shape": ("dqn", (*M0, "mask"), lambda m: m[:3], r"mask: expected float64\[1408\], got float64\[3\]"),
-    "mask_not_binary": ("dqn", (*M0, "mask"), _entry(400, 0.5),
-                        r"population\.members\[0\]\.mask\[400\]: 0\.5 is not 0 or 1"),
-    "shared_target_mask_not_binary": ("dqn", ("population", "target_mask"), _entry(0, np.nan),
-                                      r"population\.target_mask\[0\]: nan is not 0 or 1"),
+    "mask_shape": ("dqn", (*M0, "mask"), lambda m: m[:3],
+                   r"mask: expected uint8\[176\], 1408 mask bits, got uint8\[3\]"),
+    "mask_one_byte_long": ("dqn", ("population", "target_mask"), lambda m: np.append(m, np.uint8(0)),
+                           r"population\.target_mask: expected uint8\[176\], 1408 mask bits, got uint8\[177\]"),
+    # a float64 0/1 record (the EAUDECK4 layout) is refused, whatever values it holds
+    "mask_not_binary": ("dqn", (*M0, "mask"), lambda m: _entry(400, 0.5)(np.unpackbits(m).astype(np.float64)),
+                        r"population\.members\[0\]\.mask: expected uint8\[176\], 1408 mask bits, got float64\[1408\]"),
+    "shared_target_mask_not_binary": ("dqn", ("population", "target_mask"),
+                                      lambda m: _entry(0, np.nan)(np.unpackbits(m).astype(np.float64)),
+                                      r"population\.target_mask: expected uint8\[176\], 1408 mask bits, got float64"),
+    # a 5-unit hidden layer on chain has 60 weights: 8 bytes, of which the last 4 bits are padding
+    "mask_padding_bit_set": ("narrow", (*M0, "mask"), _entry(-1, 0b0000_0001),
+                             r"members\[0\]\.mask: padding bits set past the last of 60 weights"),
+    "shared_target_mask_padding_bits_set": ("narrow", ("population", "target_mask"), _entry(-1, 0b1111_1111),
+                                            r"population\.target_mask: padding bits set past the last of 60"),
     "negative_step": ("dqn", ("step",), lambda step: -1, "step -1 is negative"),
     "negative_adam_step_count": ("dqn", (*M0, "optimizer", "step_count"), lambda n: -2,
                                  r"members\[0\]\.optimizer\.step_count: -2 is negative"),
@@ -303,7 +387,7 @@ MALFORMED_NETWORKS = {
     "soft_target_cut": ("eaude_sac", (*S1, 0, "target_params"), lambda t: t[:3],
                         r"twin\.sides\[1\]\.members\[0\]\.target_params: expected float64\[2641\]"),
     "soft_target_missing": ("eaude_sac", (*S0, 1, "target_params"), lambda t: None, "a soft target per member"),
-    "soft_target_mask_not_binary": ("eaude_sac", (*S0, 1), lambda m: dict(m, target_mask=_entry(2543, 2.0)(m["mask"])),
+    "soft_target_mask_not_binary": ("eaude_sac", (*S0, 1), lambda m: dict(m, target_mask=_entry(-1, 2)(m["mask"])),
                                     r"sides\[0\]\.members\[1\]: unknown entry 'target_mask'"),
     "critic_side_missing": ("eaude_sac", ("twin", "sides"), lambda sides: sides[:1], "1 entries, expected 2"),
     "policy_weight": ("eaude_sac", ("policy", "params"), lambda p: p[:1],
@@ -321,6 +405,7 @@ def payload_blobs():
     """Encoded mid-run payloads, one per algorithm the malformed cases use."""
     configs = {
         "dqn": chain_config(algorithm="dqn", total=800),
+        "narrow": chain_config(algorithm="dqn", total=800, **{"network.hidden_widths": (5,)}),
         **{env: build_config({"algorithm": "dqn", "env": env, "seed": 5, "run.total_steps": 800, "replay.warmup": 200})
            for env in ("gridworld", "cartpole")},
         "eaude_dqn": chain_config(algorithm="eaude_dqn", total=800, **{"run.target_period": 250}),
@@ -341,7 +426,7 @@ DROP = object()  # a replacement that deletes the entry
 MALFORMED_STATE = {
     "member_weights_missing": ("dqn", (*M0, "params"), lambda w: DROP, r"population\.members\[0\]: no 'params' entry"),
     "mask_record_an_int": ("dqn", (*M0, "mask"), lambda m: 7,
-                           r"population\.members\[0\]\.mask: expected float64\[1408\], got int"),
+                           r"population\.members\[0\]\.mask: expected uint8\[176\], 1408 mask bits, got int"),
     "last_eval_missing": ("dqn", ("last_eval",), lambda v: DROP, "payload: no 'last_eval' entry"),
     "loss_a_string": ("dqn", (*M0, "cumulated_loss"), lambda v: "0.5",
                       r"members\[0\]\.cumulated_loss: expected float, got str"),

@@ -104,12 +104,12 @@ class TestTrain:
         cfg_path = write_config(tmp_path)
         old = tmp_path / "old.ckpt"
         save_checkpoint(init_state(load_config(cfg_path)), old)
-        for version in ("EAUDECK1", "EAUDECK2", "EAUDECK3"):
+        for version in ("EAUDECK1", "EAUDECK2", "EAUDECK3", "EAUDECK4"):
             old.write_bytes(version.encode() + old.read_bytes()[8:])
             assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--resume", str(old)]) == 2
-            assert f"checkpoint format {version} is not this version's EAUDECK4" in capsys.readouterr().err
+            assert f"checkpoint format {version} is not this version's EAUDECK5" in capsys.readouterr().err
             assert main(["inspect", "--checkpoint", str(old)]) == 2
-            assert f"checkpoint format {version} is not this version's EAUDECK4" in capsys.readouterr().err
+            assert f"checkpoint format {version} is not this version's EAUDECK5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_resume_continues_to_completion(self, tmp_path):
@@ -216,6 +216,32 @@ class TestAggregate:
             assert main(["aggregate", "--runs", str(runs), "--out", str(out_csv), "--resamples", resamples]) == 2
             assert f"config error: resamples must be >= 1, got {resamples}" in capsys.readouterr().err
             assert not out_csv.exists()
+
+    def test_run_without_a_config_exits_2(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(runs / "a")]) == 0
+        shutil.copytree(runs / "a", runs / "b")
+        (runs / "b" / "config.txt").unlink()
+        out_csv = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert main(["aggregate", "--runs", str(runs), "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(runs / "b" / "config.txt") in err
+        assert not out_csv.exists()
+
+    def test_no_step_with_the_metric_in_every_run_exits_2(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        for seed in (1, 2):  # 700 steps: no evaluation yet (chain evaluates every 1,000 steps)
+            assert main(["train", "--config", str(write_config(tmp_path)), "--seed", str(seed),
+                         "--out", str(runs / f"s{seed}")]) == 0
+        out_csv = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert main(["aggregate", "--runs", str(runs), "--out", str(out_csv), "--resamples", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: none of the 7 logging steps has a finite eval_return in all 2 runs; nothing to aggregate\n"
+        )
+        assert captured.out == "" and not out_csv.exists()
 
     def test_empty_directory_exits_2(self, tmp_path, capsys):
         assert main(["aggregate", "--runs", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 2

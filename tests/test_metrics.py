@@ -102,6 +102,12 @@ class TestAggregate:
         rows = aggregate_runs([a, b])
         assert [row["step"] for row in rows] == [200]
 
+    def test_no_step_with_a_value_in_every_run_rejected(self):
+        a = synthetic_table(self.CFG, [100, 200], [np.nan, 1.0], [0.0, 0.0])
+        b = synthetic_table(self.CFG, [100, 200], [0.9, np.nan], [0.0, 0.0])
+        with pytest.raises(ConfigError, match="none of the 2 logging steps has a finite eval_return in all 2 runs"):
+            aggregate_runs([a, b])
+
     def test_mismatched_schema_lists_fields(self):
         other = build_config({"algorithm": "eaude_dqn", "env": "chain"})
         a = synthetic_table(self.CFG, [100], [1.0], [0.0])

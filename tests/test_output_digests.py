@@ -12,22 +12,22 @@ from output_digests import digest_lines
 EXPECTED = [
     "dqn log.csv 4bf06c8c5ac1f7f7b5602bd07edb558fe22159628e8a48a0f43830a55d435e38",
     "dqn events.jsonl a96edd77c33d14f4ea2c723c404f99939035d3c659944497895e71d3e0fa099c",
-    "dqn checkpoint.ckpt 429257e2d4dc32a48ee8249ae2d4ab6b381fcabe56d9393b8618578964d83641",
+    "dqn checkpoint.ckpt ee8795fd88ac54e547499b5ab16d5597d6218688b4a7cdb644fcbfd90ead4b1b",
     "polyprune_dqn log.csv 383f79a6d5f16b90c607b8a1860af744a360fc1df7bc76815620c6f17ee6ca2f",
     "polyprune_dqn events.jsonl 861dcd807be50ae7cf81b0e0c1e5c3e653e5e85152f995722fab2862582ce928",
-    "polyprune_dqn checkpoint.ckpt a65aff9e0f083927da6814d4a17541adc3971588d294f2a9c14c5261ad1d36a0",
+    "polyprune_dqn checkpoint.ckpt 3bb2ce0f2413897b6f6d428d689c192463abb044e42597c783ce708131430784",
     "eaude_dqn log.csv 6e4465987b70fcb85b38017ef9105492ce04f6ca1ad6e99cb66a93b173d25532",
     "eaude_dqn events.jsonl 43a02db24a894a2821b00ae4228db7ec0a6fb95d38b92b45aecb43f40d5c8641",
-    "eaude_dqn checkpoint.ckpt 046eddbf5807e46fe893b3531162c7dbd97d5ca9b4482e72ca4d89b3db59d4df",
+    "eaude_dqn checkpoint.ckpt 35fbd7865ba44588c1be7fc50bd77d284c0d86b538bfc4dded4f1c7ef1c2b862",
     "sac log.csv 420053b1c27620759311b44bbf6bd9d42465566fed42b658bd878f7139538890",
     "sac events.jsonl e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "sac checkpoint.ckpt 104c39cdbc0cbeffd31fcca0cba2ca54d5df3cb1881f2f5fa6b3d13c68d2b3f5",
+    "sac checkpoint.ckpt 7215df42d8016ac588167dee596ccfb7f65daedda7eece9ad51a4eb1eec2fb1c",
     "polyprune_sac log.csv 7725dae70f9a4484cf1a76749798594b3876cfc01b433032c3e39525f06d9b0f",
     "polyprune_sac events.jsonl ec2f8f6712f2a65b210c69705de2f72f6f85280d2f955319c8c431b61453d319",
-    "polyprune_sac checkpoint.ckpt 0156940af3643c95979d49efdd860bc62cb96b7ea5401c43cfe82c52c1c1eff6",
+    "polyprune_sac checkpoint.ckpt e3df2598e18fec5f513e5818cb62d1435d9d9c18809bacb1c39e23ddc80d375e",
     "eaude_sac log.csv 019951f4b0e8354d675e7249c2aae1e1685b7e6d4acf4a35af94b7e429dbd470",
     "eaude_sac events.jsonl e1e7df44621a465f343d97830f4d5b1aebf207460b892d8c0cf4679e9f1c3fa4",
-    "eaude_sac checkpoint.ckpt 3f25e349c4ea4de9035455266eab790abee51af8fe519a38b941e2d7dd47ffd9",
+    "eaude_sac checkpoint.ckpt 5033f24e42d9239c7d37f24bca184ea55e09459895cd4e2739b7c327daf7767f",
 ]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eaudeqn.envs import DiscreteSpace, Transition
 from eaudeqn.errors import ConfigError
@@ -122,3 +123,60 @@ class TestStateDict:
         restored.push(tr(7))
         assert restored._rewards.tolist() == [0.0, 1.0, 2.0, 7.0, 0.0]
         assert [t.reward for t in restored.snapshot()] == [0.0, 1.0, 2.0, 7.0]
+
+
+# float64 bit patterns: +0.0 and -0.0, quiet nans with and without a payload and of either sign, a
+# signalling nan, 1.0 and -inf
+BITS = [0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+        0x7FF0000000000001, 0x3FF0000000000000, 0xFFF0000000000000]
+
+
+@st.composite
+def pushed_rings(draw):
+    """(capacity, width, transitions): a ring left partial, exactly full or wrapped, whose next states
+    run in stretches that are and are not the following transition's state."""
+    capacity, width = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    fill = draw(st.sampled_from(["partial", "full", "wrapped"]))
+    pushes = {"partial": st.integers(0, capacity - 1), "full": st.just(capacity),
+              "wrapped": st.integers(capacity + 1, 3 * capacity + 1)}[fill]
+    n = draw(pushes)
+    vector = st.lists(st.sampled_from(BITS), min_size=width, max_size=width).map(
+        lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
+    states = [draw(vector) for _ in range(n + 1)]
+    linked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    transitions = [
+        Transition(states[t], draw(st.integers(0, 1)), float(draw(vector)[0]),
+                   states[t + 1] if linked[t] else draw(vector), draw(st.booleans()))
+        for t in range(n)
+    ]
+    return capacity, width, transitions
+
+
+class TestStateDictRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(ring=pushed_rings())
+    def test_round_trips_bit_for_bit(self, ring):
+        capacity, width, transitions = ring
+        buf = ReplayBuffer(capacity, width, DiscreteSpace(2))
+        for t in transitions:
+            buf.push(t)
+        n = buf.size
+        state = buf.state_dict()
+        # the listed slots: each whose next state is not bit for bit its successor's state (slot j + 1,
+        # wrapping to 0 in a full ring), and the last written slot of a partial ring, which has none
+        rows = [
+            j for j in range(n)
+            if (j == n - 1 and n < capacity)
+            or buf._next_states[j].tobytes() != buf._states[(j + 1) % capacity].tobytes()
+        ]
+        assert state.keys() == ReplayBuffer.RECORD_KEYS
+        assert state["next_state_rows"].dtype == np.int64 and state["next_state_rows"].tolist() == rows
+        assert state["next_states"].tobytes() == buf._next_states[rows].tobytes()
+        for copy in (True, False):
+            restored = ReplayBuffer.from_state_dict(state, capacity, width, DiscreteSpace(2), len(transitions),
+                                                    copy=copy)
+            for name in ("_states", "_next_states", "_actions", "_rewards", "_dones"):
+                assert getattr(restored, name).shape == getattr(buf, name).shape
+                assert getattr(restored, name)[:n].tobytes() == getattr(buf, name)[:n].tobytes(), name
+            again = restored.state_dict()
+            assert all(again[key].tobytes() == state[key].tobytes() for key in ReplayBuffer.RECORD_KEYS)
