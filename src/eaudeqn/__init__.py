@@ -2,7 +2,8 @@
 pruning, and adaptive population-based pruning, on desk-scale environments."""
 
 from .config import ExperimentConfig, build_config, load_config, parse_config_text
-from .training import RunLog, TrainState, evaluate_policy, run_training
+from .rundir import RunLog
+from .training import TrainState, evaluate_policy, run_training
 
 __all__ = [
     "ExperimentConfig",

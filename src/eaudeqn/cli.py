@@ -1,66 +1,48 @@
 """Command-line interface: train, evaluate, aggregate, inspect.
 
-Exit codes: 0 success, 2 config validation failure, 3 numeric abort (a
-checkpoint is dumped next to the logs).
+Exit codes: 0 success, 2 bad input, 3 numeric abort (a checkpoint is dumped
+next to the logs). Bad input is any config, checkpoint, run directory, output
+path or option value that the command refuses; `main` reports each such error
+once, as one `config error: ...` line on stderr. Run directories are written
+and read through `rundir`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import canonical_text, load_config
+from . import rundir
+from .checkpoint import load_checkpoint
+from .config import load_config
 from .envs import make_env
 from .errors import CheckpointError, ConfigError, DataFormatError, SchemaMismatchError
-from .metrics import aggregate_runs, parse_run_csv
+from .metrics import METRICS, aggregate_runs, run_table
 from .rng import RngStream
 from .training import NumericAbortError, evaluate_policy, run_training
 
+# the errors that mean bad input: `main` turns each into exit code 2
+INPUT_ERRORS = (ConfigError, CheckpointError, DataFormatError, SchemaMismatchError, OSError)
 
-def _write_text_outputs(out_dir: Path, config, log) -> None:
-    """log.csv, events.jsonl and config.txt, as a finished or aborted run leaves them."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "log.csv").write_text(log.to_csv(), encoding="utf-8")
-    with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-        for event in log.events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-    (out_dir / "config.txt").write_text(canonical_text(config), encoding="utf-8")
-
-
-def _write_outputs(out_dir: Path, config, log, state) -> None:
-    _write_text_outputs(out_dir, config, log)
-    save_checkpoint(state, out_dir / "checkpoint.ckpt")
+_write_outputs = rundir.write  # perfbench/worker.py imports this name and times it as outputs_write_s
 
 
 def _cmd_train(args) -> int:
-    try:
-        config = load_config(args.config, seed=args.seed)
-    except (ConfigError, OSError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    config = load_config(args.config, seed=args.seed)
     out_dir = Path(args.out) if args.out else Path(f"run_{config.algorithm}_{config.env}_seed{config.seed}")
-    resume_state = None
-    if args.resume:
-        try:
-            resume_state = load_checkpoint(args.resume)
-        except (CheckpointError, DataFormatError, OSError) as err:
-            print(f"config error: cannot resume: {err}", file=sys.stderr)
-            return 2
+    rundir.check_out_dir(out_dir)
+    try:
+        resume_state = load_checkpoint(args.resume) if args.resume else None
+    except INPUT_ERRORS as err:  # main reports it, saying which input it was
+        raise CheckpointError(f"cannot resume: {err}") from err
     try:
         log, state = run_training(config, resume=resume_state, threads=args.threads)
-    except (CheckpointError, ConfigError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     except NumericAbortError as err:
-        _write_text_outputs(out_dir, config, err.log)
-        dump = out_dir / "abort.ckpt"
-        save_checkpoint(err.state, dump)
+        dump = rundir.write(out_dir, config, err.log, err.state, rundir.ABORT_CHECKPOINT)
         print(f"numeric abort: {err} (checkpoint dumped to {dump})", file=sys.stderr)
         return 3
-    _write_outputs(out_dir, config, log, state)
+    rundir.write(out_dir, config, log, state)
     final = log.records[-1] if log.records else None
     summary = f"eval_return={final.eval_return!r} " if final is not None else ""
     print(f"run complete: {config.algorithm} on {config.env}, seed {config.seed}, "
@@ -69,40 +51,23 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    try:
-        state = load_checkpoint(args.checkpoint)
-    except (CheckpointError, DataFormatError, OSError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    state = load_checkpoint(args.checkpoint)
     config = state.config
     env = make_env(config.env)
     agent = state.policy if state.policy is not None else state.population.network(state.population.champion_index)
     seed = args.seed if args.seed is not None else config.seed
     rng = RngStream(seed, "cli/evaluate")
-    try:
-        mean = evaluate_policy(agent, env, args.episodes, rng)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    mean = evaluate_policy(agent, env, args.episodes, rng)
     print(f"mean raw return over {args.episodes} episodes: {mean!r}")
     return 0
 
 
 def _cmd_aggregate(args) -> int:
-    runs_dir = Path(args.runs)
-    run_dirs = sorted(d for d in runs_dir.iterdir() if (d / "log.csv").exists()) if runs_dir.is_dir() else []
-    if not run_dirs:
-        print(f"config error: no run directories with log.csv under {runs_dir}", file=sys.stderr)
-        return 2
-    tables = []
-    try:
-        for d in run_dirs:
-            config = load_config(d / "config.txt")
-            tables.append(parse_run_csv((d / "log.csv").read_text(encoding="utf-8"), config, metric=args.metric))
-        rows = aggregate_runs(tables, metric=args.metric, resamples=args.resamples, seed=args.bootstrap_seed)
-    except (ConfigError, SchemaMismatchError, DataFormatError, OSError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"cannot write the summary {out}: it is a directory or its parent is not one")
+    tables = [run_table(str(d), rundir.read(d)[1], metric=args.metric) for d in rundir.run_dirs(args.runs)]
+    rows = aggregate_runs(tables, metric=args.metric, resamples=args.resamples, seed=args.bootstrap_seed)
     header = [
         "step", "runs", "return_iqm", "return_ci_low", "return_ci_high",
         "champion_sparsity_iqm", "champion_sparsity_ci_low", "champion_sparsity_ci_high",
@@ -110,17 +75,13 @@ def _cmd_aggregate(args) -> int:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(row[col]) if isinstance(row[col], float) else str(row[col]) for col in header))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"aggregated {len(tables)} runs over {len(rows)} logging steps into {args.out}")
     return 0
 
 
 def _cmd_inspect(args) -> int:
-    try:
-        state = load_checkpoint(args.checkpoint)
-    except (CheckpointError, DataFormatError, OSError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    state = load_checkpoint(args.checkpoint)
     config = state.config
     print(f"algorithm: {config.algorithm}")
     print(f"env: {config.env}")
@@ -167,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     agg = sub.add_parser("aggregate", help="IQM + bootstrap intervals across run directories")
     agg.add_argument("--runs", required=True, help="directory containing one subdirectory per run")
     agg.add_argument("--out", required=True, help="summary CSV path")
-    agg.add_argument("--metric", choices=("episode_return", "eval_return"), default="eval_return")
+    agg.add_argument("--metric", choices=METRICS, default="eval_return")
     agg.add_argument("--resamples", type=int, default=2000)
     agg.add_argument("--bootstrap-seed", type=int, default=0)
     agg.set_defaults(fn=_cmd_aggregate)
@@ -180,7 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except INPUT_ERRORS as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

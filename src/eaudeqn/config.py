@@ -200,11 +200,19 @@ def build_config(overrides: dict) -> ExperimentConfig:
 
 
 def load_config(path, seed: int | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        overrides = parse_config_text(fh.read())
-    if seed is not None:
-        overrides["seed"] = int(seed)
-    return build_config(overrides)
+    """Parse and build the config file at path; every ConfigError names the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        overrides = parse_config_text(data.decode("utf-8"))
+        if seed is not None:
+            overrides["seed"] = int(seed)
+        return build_config(overrides)
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise ConfigError(f"{path}: line {lineno}: byte {err.start} is not UTF-8") from None
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def validate_config(config: ExperimentConfig) -> None:

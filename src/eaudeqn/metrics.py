@@ -37,41 +37,35 @@ def bootstrap_iqm_interval(values, resamples: int = 2000, seed: int = 0) -> tupl
     return float(lo), float(hi)
 
 
-def parse_run_csv(csv_text: str, config, metric: str = "eval_return") -> dict:
-    """Turn one run's CSV log into the aggregation table.
+METRICS = ("episode_return", "eval_return")
+
+
+def run_table(name: str, log, metric: str = "eval_return") -> dict:
+    """One run's aggregation table, from its RunLog (see rundir.read).
 
     Returns steps, the normalized metric, and per-row champion sparsity. For
-    value-based runs the reigning champion sits at slot 0 (sparsity_1); for
-    twin-critic runs the two live champions' sparsities are averaged.
+    value-based runs the reigning champion sits at slot 0; for twin-critic
+    runs the two live champions' sparsities are averaged. `name` (the run
+    directory) labels the run in schema errors.
     """
-    lines = [line for line in csv_text.splitlines() if line]
-    if not lines:
-        raise ConfigError("empty run log")
-    header = lines[0].split(",")
-    col = {name: i for i, name in enumerate(header)}
-    if metric not in col:
-        raise ConfigError(f"log has no {metric!r} column")
-    rows = [line.split(",") for line in lines[1:]]
-    steps = np.array([int(r[col["step"]]) for r in rows], dtype=np.int64)
-    raw = np.array([float(r[col[metric]]) for r in rows])
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}; known: {METRICS}")
+    config, records = log.config, log.records
+    steps = np.array([rec.step for rec in records], dtype=np.int64)
+    raw = np.array([getattr(rec, metric) for rec in records])
     denom = config.reference_score - config.random_baseline
     normalized = (raw - config.random_baseline) / denom
-    twin = "c1_champion_index" in col
-    if twin:
-        sparsity = np.empty(len(rows))
-        for j, r in enumerate(rows):
-            values = []
-            for prefix in ("c1_", "c2_"):
-                champ = int(r[col[f"{prefix}champion_index"]])
-                values.append(float(r[col[f"{prefix}sparsity_{champ + 1}"]]))
-            sparsity[j] = 0.5 * (values[0] + values[1])
+    if config.is_sac:
+        sparsity = np.array(
+            [0.5 * (rec.sparsities[0][rec.champions[0]] + rec.sparsities[1][rec.champions[1]]) for rec in records]
+        )
     else:
-        sparsity = np.array([float(r[col["sparsity_1"]]) for r in rows])
+        sparsity = np.array([rec.sparsities[0][0] for rec in records])
     return {
+        "run": name,
         "algorithm": config.algorithm,
         "env": config.env,
         "population": config.population_size,
-        "columns": tuple(header),
         "steps": steps,
         metric: normalized,
         "champion_sparsity": sparsity,
@@ -79,20 +73,21 @@ def parse_run_csv(csv_text: str, config, metric: str = "eval_return") -> dict:
 
 
 def check_same_schema(runs: list[dict]) -> None:
-    """Runs must share algorithm, env, population size, and column layout."""
+    """Runs must share algorithm, env, population size (and so the column
+    layout), and logging steps."""
     if not runs:
         raise ConfigError("no runs to aggregate")
     reference = runs[0]
     for run in runs[1:]:
         differing = []
-        for key in ("algorithm", "env", "population", "columns"):
+        for key in ("algorithm", "env", "population"):
             if run.get(key) != reference.get(key):
                 differing.append(key)
         if not np.array_equal(run["steps"], reference["steps"]):
             differing.append("steps")
         if differing:
             raise SchemaMismatchError(
-                f"runs disagree on: {', '.join(differing)}", fields=differing
+                f"runs {reference['run']} and {run['run']} disagree on: {', '.join(differing)}", fields=differing
             )
 
 
@@ -105,7 +100,7 @@ def aggregate_runs(
     """Per logging step: IQM of normalized returns across runs plus 95%
     bootstrap intervals, and the same for champion sparsity.
 
-    Each run dict carries: algorithm, env, population, columns, steps,
+    Each run dict (see run_table) carries: run, algorithm, env, population, steps,
     normalized returns under `metric`, and champion_sparsity. Steps where any
     run has no value yet (nan) are skipped; if that leaves no step, there is
     nothing to aggregate and ConfigError is raised.

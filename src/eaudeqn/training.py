@@ -26,7 +26,7 @@ import hashlib
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -49,6 +49,7 @@ from .population import (
 from .pruning import Mask, mask_of_ones
 from .replay import ReplayBuffer
 from .rng import RngStream
+from .rundir import LogRecord, RunLog
 from .sac import (
     GaussianPolicy,
     TwinCriticPopulation,
@@ -73,61 +74,6 @@ class NumericAbortError(RuntimeError):
         self.cause = cause
         self.state = state
         self.log = log
-
-
-@dataclass
-class LogRecord:
-    step: int
-    wallclock_s: float
-    episode_return: float
-    eval_return: float
-    champions: tuple[int, ...]
-    behaviors: tuple[int, ...]
-    sparsities: tuple[tuple[float, ...], ...]
-    losses: tuple[tuple[float, ...], ...]
-
-
-@dataclass
-class RunLog:
-    """Append-only run record plus the selection-event trace."""
-
-    algorithm: str
-    env: str
-    seed: int
-    population: int
-    twin: bool
-    records: list[LogRecord] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
-
-    def header(self) -> list[str]:
-        cols = ["step", "wallclock_s", "episode_return", "eval_return"]
-        groups = ("c1_", "c2_") if self.twin else ("",)
-        for prefix in groups:
-            cols.append(f"{prefix}champion_index")
-        for prefix in groups:
-            cols.append(f"{prefix}behavior_index")
-        for prefix in groups:
-            cols.extend(f"{prefix}sparsity_{k + 1}" for k in range(self.population))
-        for prefix in groups:
-            cols.extend(f"{prefix}loss_{k + 1}" for k in range(self.population))
-        return cols
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.header())]
-        for rec in self.records:
-            cells = [str(rec.step), _fmt(rec.wallclock_s), _fmt(rec.episode_return), _fmt(rec.eval_return)]
-            cells.extend(str(c) for c in rec.champions)
-            cells.extend(str(b) for b in rec.behaviors)
-            for group in rec.sparsities:
-                cells.extend(_fmt(s) for s in group)
-            for group in rec.losses:
-                cells.extend(_fmt(v) for v in group)
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def mask_digest(mask: Mask) -> str:
@@ -277,13 +223,7 @@ def run_training(
     else:
         state = init_state(config)
     stop = config.total_steps if until_step is None else min(until_step, config.total_steps)
-    log = RunLog(
-        algorithm=config.algorithm,
-        env=config.env,
-        seed=config.seed,
-        population=config.population_size,
-        twin=config.is_sac,
-    )
+    log = RunLog(config)
     clock = clock if clock is not None else time.perf_counter
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     train = partial(_train_stacks, pool=pool, threads=threads)

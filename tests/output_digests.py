@@ -15,8 +15,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from eaudeqn import build_config, run_training
-from eaudeqn.cli import _write_outputs
+from eaudeqn import build_config, rundir, run_training
 
 CONFIGS = {
     "dqn": {"algorithm": "dqn", "env": "chain", "run.total_steps": 1500, "replay.capacity": 1000},
@@ -30,7 +29,7 @@ CONFIGS = {
     "eaude_sac": {"algorithm": "eaude_sac", "env": "pendulum", "run.total_steps": 1000, "replay.warmup": 300,
                   "sac.prune_period": 150, "eaude.s_max": 0.2, "eaude.u_max": 30.0},
 }
-FILES = ("log.csv", "events.jsonl", "checkpoint.ckpt")
+FILES = (rundir.LOG, rundir.EVENTS, rundir.CHECKPOINT)
 
 
 def digest_lines(out: Path, threads: int = 1) -> list[str]:
@@ -39,7 +38,7 @@ def digest_lines(out: Path, threads: int = 1) -> list[str]:
     for name, overrides in CONFIGS.items():
         config = build_config(dict(overrides, seed=7))
         log, state = run_training(config, threads=threads, clock=lambda: 0.0)
-        _write_outputs(out / name, config, log, state)
+        rundir.write(out / name, config, log, state)
         for file in FILES:
             lines.append(f"{name} {file} {hashlib.sha256((out / name / file).read_bytes()).hexdigest()}")
     return lines

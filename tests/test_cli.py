@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -67,6 +68,24 @@ class TestTrain:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "absent.txt")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(CHAIN_CFG.encode().replace(b"chain", b"ch\xffin"))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}: line 2: byte 24 is not UTF-8\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_that_is_a_file_exits_2_before_training(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, CHAIN_CFG.replace("700", "1000000"))  # would take minutes to train
+        out = tmp_path / "taken"
+        out.write_text("not a directory", encoding="utf-8")
+        for target in (out, out / "run"):
+            assert main(["train", "--config", str(cfg), "--out", str(target)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: cannot write the run directory {target}: {out} is not a directory\n"
+            )
+        assert out.read_text(encoding="utf-8") == "not a directory"
 
     def test_numeric_abort_exits_3_and_dumps_checkpoint(self, tmp_path, capsys):
         from eaudeqn.config import load_config
@@ -197,6 +216,10 @@ class TestAggregate:
         assert lines[0].startswith("step,runs,return_iqm,return_ci_low,return_ci_high")
         assert len(lines) > 1
         assert all(line.split(",")[1] == "2" for line in lines[1:])
+        # pinned bytes: how runs are read must not change the summary
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+            "5ea1aaed0756f73e2f8aa0a50f8dc511e056da2955bd01e33ae80a6ae702a88d"
+        )
 
     def test_mismatched_runs_exit_2(self, tmp_path, capsys):
         runs = tmp_path / "runs"
@@ -204,8 +227,9 @@ class TestAggregate:
         cfg_b = write_config(tmp_path, CHAIN_CFG.replace("env = chain", "env = gridworld"), name="b.txt")
         assert main(["train", "--config", str(cfg_a), "--out", str(runs / "a")]) == 0
         assert main(["train", "--config", str(cfg_b), "--out", str(runs / "b")]) == 0
+        capsys.readouterr()
         assert main(["aggregate", "--runs", str(runs), "--out", str(tmp_path / "x.csv")]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: runs {runs / 'a'} and {runs / 'b'} disagree on: env\n"
 
     def test_resamples_below_one_exit_2(self, tmp_path, capsys):
         runs = tmp_path / "runs"
@@ -242,6 +266,18 @@ class TestAggregate:
             "config error: none of the 7 logging steps has a finite eval_return in all 2 runs; nothing to aggregate\n"
         )
         assert captured.out == "" and not out_csv.exists()
+
+    def test_out_without_a_parent_exits_2_before_reading_runs(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(runs / "a")]) == 0
+        (runs / "a" / "log.csv").write_text("damaged", encoding="utf-8")
+        capsys.readouterr()
+        for out in (tmp_path / "nodir" / "s.csv", runs):
+            assert main(["aggregate", "--runs", str(runs), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: cannot write the summary {out}: it is a directory or its parent is not one\n"
+            )
+        assert not (tmp_path / "nodir").exists()
 
     def test_empty_directory_exits_2(self, tmp_path, capsys):
         assert main(["aggregate", "--runs", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 2

@@ -179,6 +179,22 @@ def test_load_config_with_seed_override(tmp_path):
     assert cfg.seed == 42
 
 
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        (b"algorithm = dqn\nrun.total_stepz = 100\n", "line 2: unknown key 'run.total_stepz'"),
+        (b"algorithm = sac\nenv = chain\n", "invalid config: sac needs a continuous action space"),
+        (b"algorithm = dqn\nenv = \xffchain\n", "line 2: byte 22 is not UTF-8"),
+    ],
+)
+def test_load_config_errors_name_the_file(tmp_path, text, says):
+    path = tmp_path / "cfg.txt"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"{path}: {says}")
+
+
 def test_digest_changes_with_any_field():
     a = build_config({"algorithm": "dqn", "env": "chain", "seed": 1})
     b = build_config({"algorithm": "dqn", "env": "chain", "seed": 2})

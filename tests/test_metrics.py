@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from eaudeqn.config import build_config
+from eaudeqn import rundir
+from eaudeqn.config import build_config, canonical_text
 from eaudeqn.errors import ConfigError, SchemaMismatchError
-from eaudeqn.metrics import aggregate_runs, bootstrap_iqm_interval, iqm, parse_run_csv
+from eaudeqn.metrics import aggregate_runs, bootstrap_iqm_interval, iqm, run_table
 from eaudeqn.rng import RngStream
 
 
@@ -61,10 +62,10 @@ class TestBootstrap:
 def synthetic_table(config, steps, returns, sparsity):
     denom = config.reference_score - config.random_baseline
     return {
+        "run": f"{config.algorithm}-synthetic",
         "algorithm": config.algorithm,
         "env": config.env,
         "population": config.population_size,
-        "columns": ("step", "eval_return"),
         "steps": np.asarray(steps),
         "eval_return": (np.asarray(returns, dtype=float) - config.random_baseline) / denom,
         "champion_sparsity": np.asarray(sparsity, dtype=float),
@@ -116,23 +117,33 @@ class TestAggregate:
             aggregate_runs([a, b])
         assert "algorithm" in info.value.fields
         assert "population" in info.value.fields
+        assert str(info.value).startswith("runs dqn-synthetic and eaude_dqn-synthetic disagree on: algorithm")
+
+
+def read_table(tmp_path, config, csv_text):
+    """The table of a run directory holding config and this hand-written log."""
+    (tmp_path / rundir.CONFIG).write_text(canonical_text(config), encoding="utf-8")
+    (tmp_path / rundir.LOG).write_text(csv_text, encoding="utf-8")
+    _, log = rundir.read(tmp_path)
+    assert log.to_csv() == csv_text
+    return run_table(str(tmp_path), log)
 
 
 class TestParseRunCsv:
-    def test_value_based_columns(self):
+    def test_value_based_columns(self, tmp_path):
         cfg = build_config({"algorithm": "dqn", "env": "chain"})
         csv_text = (
             "step,wallclock_s,episode_return,eval_return,champion_index,behavior_index,sparsity_1,loss_1\n"
             "100,0.0,nan,0.674,0,0,0.25,1.5\n"
             "200,0.0,1.0,1.0,0,0,0.5,0.5\n"
         )
-        table = parse_run_csv(csv_text, cfg)
+        table = read_table(tmp_path, cfg, csv_text)
         assert list(table["steps"]) == [100, 200]
         assert abs(table["eval_return"][0]) < 1e-12
         assert abs(table["eval_return"][1] - 1.0) < 1e-12
         assert list(table["champion_sparsity"]) == [0.25, 0.5]
 
-    def test_twin_columns_average_champion_sparsity(self):
+    def test_twin_columns_average_champion_sparsity(self, tmp_path):
         cfg = build_config({"algorithm": "eaude_sac", "env": "pendulum", "eaude.population": 2, "eaude.tournament": 1})
         header = (
             "step,wallclock_s,episode_return,eval_return,"
@@ -141,7 +152,7 @@ class TestParseRunCsv:
             "c1_loss_1,c1_loss_2,c2_loss_1,c2_loss_2"
         )
         row = "250,0.0,-900.0,-1240.0,1,0,0,0,0.1,0.2,0.3,0.4,1.0,1.0,1.0,1.0"
-        table = parse_run_csv(header + "\n" + row + "\n", cfg)
+        table = read_table(tmp_path, cfg, header + "\n" + row + "\n")
         # champions: c1 slot 1 -> 0.2, c2 slot 0 -> 0.3; mean 0.25
         assert abs(table["champion_sparsity"][0] - 0.25) < 1e-12
         assert abs(table["eval_return"][0]) < 1e-12  # random baseline

@@ -7,7 +7,8 @@ summation order) updates EXPECTED and says so in CHANGES.md.
 
 import pytest
 
-from output_digests import digest_lines
+from eaudeqn import rundir
+from output_digests import CONFIGS, digest_lines
 
 EXPECTED = [
     "dqn log.csv 4bf06c8c5ac1f7f7b5602bd07edb558fe22159628e8a48a0f43830a55d435e38",
@@ -34,3 +35,6 @@ EXPECTED = [
 @pytest.mark.parametrize("threads", [1, 2])
 def test_outputs_match_the_recorded_digests(tmp_path, threads):
     assert digest_lines(tmp_path, threads) == EXPECTED
+    for name in CONFIGS:  # each log reads back as a RunLog that writes the same bytes
+        _, log = rundir.read(tmp_path / name)
+        assert log.to_csv().encode("utf-8") == (tmp_path / name / rundir.LOG).read_bytes()
