@@ -30,7 +30,13 @@ class Batch:
 
 
 class ReplayBuffer:
-    """Ring buffer with strictly FIFO eviction."""
+    """Ring buffer with strictly FIFO eviction.
+
+    The rings are not zeroed: no code reads a row at or past `size`, which
+    only a push writes. Sampling draws from [0, size), state_dict() and
+    _next_state_rows() read the first `size` rows, and a full ring has been
+    written in every row. So memory is paid only for the rows a run writes.
+    """
 
     # the entries of a state_dict()
     RECORD_KEYS = frozenset({"states", "next_state_rows", "next_states", "actions", "rewards", "dones"})
@@ -45,17 +51,21 @@ class ReplayBuffer:
         self._allocate()
 
     def _allocate(self) -> None:
-        """Set every ring to a zeroed view into one new block.
+        """Set every ring to a view into one new, uninitialized block.
 
-        Freeing a block that large makes glibc raise its heap trim threshold
-        above a buffer's size, so later set-ups and checkpoint loads in the
-        process reuse freed pages; with one allocation per ring, repeated
+        The block is not zeroed, so building a buffer touches none of its
+        pages: a row costs memory once a push or a restore writes it. Zeroing
+        would write every page whenever the allocator serves the block from
+        its heap (calloc), which it does once a block that large has been
+        freed in the process. That freeing also makes glibc raise its heap
+        trim threshold above a buffer's size, so later set-ups and checkpoint
+        loads reuse freed pages; with one allocation per ring, repeated
         pendulum set-ups and loads could settle into trimming and re-faulting
         ~1,100 pages each time.
         """
         rings = self._rings()
         sizes = [int(np.prod(shape)) * dtype.itemsize for _, shape, dtype in rings]
-        block = np.zeros(sum(sizes), dtype=np.uint8)
+        block = np.empty(sum(sizes), dtype=np.uint8)
         offset = 0
         for (key, shape, dtype), size in zip(rings, sizes):
             setattr(self, f"_{key}", block[offset : offset + size].view(dtype).reshape(shape))
@@ -180,7 +190,8 @@ class ReplayBuffer:
         and action space; next_state_rows must be increasing int64 slots of
         those rows, the last written slot among them if the ring is not full,
         and next_states must hold one float64 row of the observation width
-        per listed slot. The rows are copied into fresh full-capacity rings,
+        per listed slot. The rows are copied into the first rows of new
+        full-capacity rings, whose other rows stay unwritten (see _allocate),
         except that with copy=False full rings are adopted as they are: the
         caller must not use them again (push writes into them)."""
         buf = cls.__new__(cls)  # __init__ would allocate rings that adoption drops

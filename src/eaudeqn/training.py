@@ -194,7 +194,7 @@ def evaluate_policy(agent, env, episodes: int, rng: RngStream) -> float:
             if done:
                 break
         total += ep_return
-    return total / episodes
+    return float(total / episodes)  # not np.float64, which pendulum's rewards make it
 
 
 def run_training(

@@ -159,6 +159,18 @@ class TestEvaluateAndInspect:
         assert code == 0
         assert "mean raw return over 3 episodes" in capsys.readouterr().out
 
+    def test_sac_returns_print_as_plain_numbers(self, tmp_path, capsys):
+        # pendulum's rewards are numpy floats; the printed returns must not be their reprs
+        cfg = write_config(tmp_path, "algorithm = eaude_sac\nenv = pendulum\nseed = 2\nrun.total_steps = 200\n"
+                                     "replay.warmup = 100\neval.period = 50\neval.episodes = 1\nlog.period = 50\n"
+                                     "sac.prune_period = 100\neaude.population = 2\neaude.tournament = 1\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoint.ckpt"), "--episodes", "1"]) == 0
+        printed = capsys.readouterr().out
+        assert "eval_return=-" in printed and "mean raw return over 1 episodes: -" in printed
+        assert "np.float64(" not in printed
+
     @pytest.mark.parametrize("episodes", ["0", "-2"])
     def test_evaluate_without_episodes_exits_2(self, run_dir, capsys, episodes):
         code = main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.ckpt"), "--episodes", episodes])

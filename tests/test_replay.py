@@ -1,11 +1,22 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eaudeqn
+from eaudeqn import build_config, rundir
+from eaudeqn.checkpoint import load_checkpoint
 from eaudeqn.envs import DiscreteSpace, Transition
 from eaudeqn.errors import ConfigError
 from eaudeqn.replay import ReplayBuffer
 from eaudeqn.rng import RngStream
+from eaudeqn.training import init_state, run_training
+from output_digests import CONFIGS
 
 
 def tr(tag, done=False):
@@ -121,7 +132,7 @@ class TestStateDict:
         assert restored._states.shape == (5, 3) and restored._rewards.shape == (5,)
         assert not np.shares_memory(restored._states, buf._states)
         restored.push(tr(7))
-        assert restored._rewards.tolist() == [0.0, 1.0, 2.0, 7.0, 0.0]
+        assert restored._rewards[:4].tolist() == [0.0, 1.0, 2.0, 7.0]  # the fifth row is unwritten
         assert [t.reward for t in restored.snapshot()] == [0.0, 1.0, 2.0, 7.0]
 
 
@@ -180,3 +191,72 @@ class TestStateDictRoundTrip:
                 assert getattr(restored, name)[:n].tobytes() == getattr(buf, name)[:n].tobytes(), name
             again = restored.state_dict()
             assert all(again[key].tobytes() == state[key].tobytes() for key in ReplayBuffer.RECORD_KEYS)
+
+
+# float64 nans with payloads, of either sign, quiet and signalling
+NANS = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF8_0000_0000_0001, 0x7FF0_0000_0000_0BAD], dtype=np.uint64)
+
+
+def fill_unwritten(buf: ReplayBuffer) -> None:
+    """Write garbage into every ring row at or past buf.size: nans in the float rings, -1 in an int64 ring."""
+    for name in ("_states", "_next_states", "_actions", "_rewards", "_dones"):
+        rows = getattr(buf, name)[buf.size:]
+        if rows.dtype == np.int64:
+            rows[...] = -1
+        else:
+            rows.view(np.uint64)[...] = np.resize(NANS, rows.shape)
+
+
+class TestUnwrittenRows:
+    """The rings are not zeroed (ReplayBuffer._allocate), which is safe only if no row at or past
+    `size` is ever read."""
+
+    @pytest.mark.parametrize("algorithm, split", [("eaude_sac", 500), ("polyprune_dqn", 1500), ("dqn", 600)])
+    def test_garbage_past_size_changes_no_output(self, tmp_path, algorithm, split):
+        # the digest configs; split leaves the ring partial, and the two dqn runs wrap it after the split
+        config = build_config(dict(CONFIGS[algorithm], seed=7))
+
+        def run(out: Path, garble: bool) -> dict:
+            state = init_state(config)
+            if garble:
+                fill_unwritten(state.buffer)
+            log, state = run_training(config, resume=state, until_step=split, clock=lambda: 0.0)
+            rundir.write(out / "first", config, log, state)
+            state = load_checkpoint(out / "first" / rundir.CHECKPOINT)
+            assert state.buffer.size < state.buffer.capacity
+            if garble:
+                fill_unwritten(state.buffer)
+            log, state = run_training(config, resume=state, clock=lambda: 0.0)
+            rundir.write(out / "rest", config, log, state)
+            return {f"{half}/{file}": (out / half / file).read_bytes()
+                    for half in ("first", "rest") for file in (rundir.LOG, rundir.EVENTS, rundir.CHECKPOINT)}
+
+        assert run(tmp_path / "garbled", garble=True) == run(tmp_path / "clean", garble=False)
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="reads /proc/self/statm; the heap reuse it guards against is glibc's")
+    def test_building_a_buffer_touches_no_ring_page(self):
+        # In a fresh process, so the test process's heap history does not count: once one block is freed,
+        # glibc serves later blocks from its heap, where zeroing them would write every page.
+        code = """
+import os
+from eaudeqn.envs import DiscreteSpace
+from eaudeqn.replay import ReplayBuffer
+
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+ReplayBuffer(100_000, 10, DiscreteSpace(2))
+before = rss()
+held = [ReplayBuffer(100_000, 10, DiscreteSpace(2)) for _ in range(3)]
+for _ in range(10):
+    ReplayBuffer(100_000, 10, DiscreteSpace(2))
+print(rss() - before)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(eaudeqn.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        block = 100_000 * (10 + 10 + 1 + 1 + 1) * 8  # states, next states, actions, rewards, dones: 17.5 MiB
+        # zeroed blocks wrote one block's pages here (17.9 MiB); untouched ones add about 0.02 MiB. Half a
+        # block leaves room for the odd 2 MiB page where transparent huge pages are always on.
+        assert int(proc.stdout) < block / 2
