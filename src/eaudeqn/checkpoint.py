@@ -11,12 +11,10 @@ and so is a state whose networks or replay rings do not fit that config.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import io
+import math
 import os
 import struct
-import types
-import typing
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +30,7 @@ from .sac import GaussianPolicy, TwinCriticPopulation
 from .training import SAC_STREAMS, VALUE_STREAMS, TrainState
 from .envs import make_env
 
-_MAGIC = b"EAUDECK5"
+_MAGIC = b"EAUDECK6"
 
 
 # -- binary codec -------------------------------------------------------------
@@ -117,7 +115,12 @@ class _Reader:
 
     def take_array(self, dtype: np.dtype, shape: tuple, nbytes: int) -> np.ndarray:
         start = self._claim(nbytes, "array payload")
-        arr = np.empty(shape, dtype=dtype)
+        try:
+            arr = np.empty(shape, dtype=dtype)
+        except ValueError as err:  # a shape no array can have: a negative dimension, or (0, 2**62)
+            raise DataFormatError(
+                f"corrupted checkpoint: array of shape {list(shape)} at byte offset {start}: {err}", byte_offset=start
+            ) from None
         self._check_read(self.stream.readinto(arr.data), nbytes, "array payload", start)
         return arr
 
@@ -146,7 +149,13 @@ def _decode(reader: _Reader, depth: int = 0):
         return reader.unpack("<d", "float")[0]
     if tag == b"S":
         (n,) = reader.unpack("<I", "string length")
-        return reader.take(n, "string payload").decode("utf-8")
+        start = reader.offset
+        try:
+            return reader.take(n, "string payload").decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(
+                f"corrupted checkpoint: string that is not UTF-8 at byte offset {start}", byte_offset=start
+            ) from None
     if tag == b"Y":
         (n,) = reader.unpack("<I", "bytes length")
         return reader.take(n, "bytes payload")
@@ -168,15 +177,19 @@ def _decode(reader: _Reader, depth: int = 0):
         return out
     if tag == b"A":
         (n,) = reader.unpack("<I", "dtype length")
-        dtype = np.dtype(reader.take(n, "dtype").decode("ascii"))
-        if dtype.hasobject:
+        start = reader.offset
+        try:  # numpy parses some strings as Python code: a SyntaxError
+            dtype = np.dtype(reader.take(n, "dtype").decode("ascii"))
+        except (SyntaxError, TypeError, ValueError):  # UnicodeDecodeError is a ValueError
+            dtype = None
+        if dtype is None or dtype.kind not in "biufc":  # not objects, records, strings or times
             raise DataFormatError(
-                f"corrupted checkpoint: object array at byte offset {reader.offset}", byte_offset=reader.offset
+                f"corrupted checkpoint: not a numeric array dtype at byte offset {start}", byte_offset=start
             )
         (ndim,) = reader.unpack("<B", "ndim")
         shape = reader.unpack(f"<{ndim}q", "shape") if ndim else ()
         (nbytes,) = reader.unpack("<Q", "array length")
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize  # exact: no int64 product to wrap
         if nbytes != expected:
             raise DataFormatError(
                 f"corrupted checkpoint: array length field {nbytes} != expected {expected} "
@@ -220,81 +233,68 @@ def decode_payload(blob: bytes) -> dict:
 
 # -- state <-> payload --------------------------------------------------------
 #
-# A state object is stored as a record: a dict of its dataclass fields by
-# name, in field order, leaving out the fields in _DERIVED, which restore sets
-# from the config, the env's action box or the record's own arrays. A network
-# is stored as its float64 buffer and a mask as the packed bits of its 0/1
-# entries (np.packbits, uint8, the last byte's unused bits 0); a soft target
-# has no mask of its own (it is used under its member's). The payload leaves
-# out obs, which is env.observe(env_state), and the replay buffer's capacity
-# and insert count (the config's, and the step); of each replay ring it holds
-# only the rows written so far, the first min(step, capacity), and of the next
-# states only the rows that are not bit for bit the next slot's state (an
-# episode end, and the last written slot), so restore rebuilds the full rings
-# around them (ReplayBuffer.state_dict). Restoring walks the same fields, led
-# by their type hints, and checks every buffer against the config before any
-# state is returned. A missing or unknown entry or a value of the wrong type
-# anywhere in the payload is a CheckpointError, never a KeyError or a
-# TypeError. A Population stores one member record per row; restore rebuilds
-# each as a plain Member, like every other record, and Population(members,
-# ...) stacks them.
+# A population is stored as the stack it trains as: params, Adam moments and
+# (critics) soft_targets as float64 (K, P), the mask as its packed 0/1 bits
+# (np.packbits along the last axis, uint8 (K, ceil(W/8))), cumulated_loss and
+# mask_target as float64 (K,), lineage_id and step_count as int64 (K,), then
+# the shared target, champion_index and next_lineage_id; targets a population
+# does not have are None. The policy record is its params and optimizer, the
+# twin a list of its two side records. What restore can derive is left out:
+# sparsity (the mask's), Adam hyperparameters (the config's), the policy's
+# mask (all ones) and action box (the env's), obs (env.observe(env_state)),
+# and the replay buffer's capacity and insert count; of each replay ring the
+# payload holds only what ReplayBuffer.state_dict keeps. Restoring checks
+# every entry against the config before any state is returned: a missing or
+# unknown entry, or a value of the wrong type, dtype or shape, is a
+# CheckpointError, never a KeyError or a TypeError. Each population is then
+# built around copies of its stored arrays (Population.of), not restacked.
 
-_PLAIN = {float, int, bool, str, type(None), np.ndarray}  # stored as they are
 _NUMBERS = {int: (int, np.integer), float: (float, int, np.floating, np.integer)}
-_DERIVED = {  # record type -> the fields its record leaves out
-    AdamState: ("learning_rate", "epsilon", "beta1", "beta2"),  # the config's
-    GaussianPolicy: ("mask", "action_dim", "action_low", "action_high"),  # all ones (never pruned); the env's
-    Member: ("sparsity",),  # its mask's
-}
 # a payload holds the state's fields but obs, with the config as its text and digest
 _PAYLOAD_KEYS = frozenset(
     {f.name for f in dataclasses.fields(TrainState)} - {"config", "obs"} | {"config_text", "config_digest"}
 )
+_OPTIMIZER_KEYS = frozenset({"m", "v", "step_count"})
+_POLICY_KEYS = frozenset({"params", "optimizer"})
+_POPULATION_KEYS = frozenset({"params", "mask", "optimizer", "cumulated_loss", "lineage_id", "mask_target",
+                              "soft_targets", "target_params", "target_mask", "champion_index", "next_lineage_id"})
 
 
-def _record(obj):
-    """The payload form of a state object or of one of its field values."""
-    if type(obj) in _PLAIN:
-        return obj
-    if isinstance(obj, NetworkParams):
-        return obj.flat
-    if isinstance(obj, Mask):
-        return np.packbits(obj.flat != 0.0)
-    if isinstance(obj, (list, tuple)):
-        return [_record(x) for x in obj]
-    if not dataclasses.is_dataclass(obj):
-        return obj
-    record = {name: _record(getattr(obj, name)) for name, _, _ in _plan(type(obj))}
-    return {"members": [_record(m) for m in obj.members], **record} if isinstance(obj, Population) else record
+def _bits(mask: Mask) -> np.ndarray:
+    return np.packbits(mask.flat != 0.0, axis=-1)
 
 
-@functools.cache
-def _plan(cls) -> list:
-    """(name, type, optional) of each init field of cls that its record holds."""
-    hints = typing.get_type_hints(cls)
-    plan = []
-    for f in dataclasses.fields(cls):
-        if f.init and f.name not in _DERIVED.get(cls, ()):
-            args = typing.get_args(hints[f.name])
-            optional = type(None) in args
-            plan.append((f.name, args[0] if optional else hints[f.name], optional))
-    return plan
+def _optimizer_record(optimizer: AdamState) -> dict:
+    return {"m": optimizer.m.flat, "v": optimizer.v.flat, "step_count": optimizer.step_count}
 
 
-class _Net(NamedTuple):
-    """What the config expects of the networks of one role (q, actor or
-    critic) and of the population they sit in."""
-
-    specs: tuple[LayerSpec, ...]
-    layout: Layout
-    population_size: int
-    soft_targets: bool  # critics: a soft target per member and no shared target
-    derived: dict  # record type -> {field left out of its record: the value the config or env fixes}
+def _population_record(population: Population) -> dict:
+    stack, target, target_mask = population.stack, population.target_params, population.target_mask
+    return {
+        "params": stack.params.flat,
+        "mask": _bits(stack.mask),
+        "optimizer": _optimizer_record(stack.optimizer),
+        "cumulated_loss": stack.cumulated_loss,
+        "lineage_id": stack.lineage_id,
+        "mask_target": stack.mask_target,
+        "soft_targets": None if stack.target_params is None else stack.target_params.flat,
+        "target_params": None if target is None else target.flat,
+        "target_mask": None if target_mask is None else _bits(target_mask),
+        "champion_index": population.champion_index,
+        "next_lineage_id": population.next_lineage_id,
+    }
 
 
 def _kind(value) -> str:
     """How an error message names a payload value: dtype and shape, or type."""
     return f"{value.dtype}{list(value.shape)}" if isinstance(value, np.ndarray) else type(value).__name__
+
+
+def _array(value, dtype, shape: tuple, where: str) -> np.ndarray:
+    """A copy of value, if it is an array of exactly this dtype and shape."""
+    if type(value) is not np.ndarray or value.dtype != dtype or value.shape != shape:
+        raise CheckpointError(f"checkpoint {where}: expected {np.dtype(dtype)}{list(shape)}, got {_kind(value)}")
+    return value.copy()
 
 
 def _fields(record, keys: frozenset, where: str) -> dict:
@@ -310,113 +310,108 @@ def _fields(record, keys: frozenset, where: str) -> dict:
     return record
 
 
-@functools.cache
-def _keys(cls) -> frozenset:
-    """The keys of a record of cls."""
-    return frozenset(name for name, _, _ in _plan(cls)) | ({"members"} if cls is Population else set())
-
-
 def _list(value, where: str) -> list:
     if type(value) is not list:
         raise CheckpointError(f"checkpoint {where}: expected a list, got {_kind(value)}")
     return value
 
 
-def _number(hint, value, where: str, name: str | None = None):
+def _number(hint, value, where: str):
     """value as an int or a float (hint), refusing any other type, bools too."""
     if isinstance(value, bool) or not isinstance(value, _NUMBERS[hint]):
-        at = where if name is None else f"{where}.{name}"
-        raise CheckpointError(f"checkpoint {at}: expected {hint.__name__}, got {_kind(value)}")
+        raise CheckpointError(f"checkpoint {where}: expected {hint.__name__}, got {_kind(value)}")
     return hint(value)
 
 
-def _restore(hint, record, net: _Net, where: str):
-    """Rebuild a value of type `hint` from its record, refusing what does not
-    fit the config: network and mask buffers that do not match `net`,
-    negative int fields, and populations whose member count, champion index,
-    targets, masks or member scalars do not fit."""
-    if hint is NetworkParams:
-        size = net.layout.size
-        if type(record) is not np.ndarray or record.dtype != np.float64 or record.shape != (size,):
-            raise CheckpointError(f"checkpoint {where}: expected float64[{size}], got {_kind(record)}")
-        return NetworkParams.of(record.copy(), net.specs)
-    if hint is Mask:
-        return Mask.of(_unpack_mask(record, net.layout.n_weights, where), net.layout)
-    if isinstance(hint, types.GenericAlias):  # a fixed-length tuple
-        hints = typing.get_args(hint)
-        if len(_list(record, where)) != len(hints):
-            raise CheckpointError(f"checkpoint {where}: {len(record)} entries, expected {len(hints)}")
-        return tuple(_restore(h, r, net, f"{where}[{i}]") for i, (h, r) in enumerate(zip(hints, record)))
-    record = _fields(record, _keys(hint), where)
-    kwargs = dict(net.derived.get(hint, {}))
-    for name, field_hint, optional in _plan(hint):
-        value = record[name]
-        if field_hint is float:
-            kwargs[name] = _number(float, value, where, name)
-        elif field_hint is int:  # step counts, indices, ids and sizes
-            kwargs[name] = _number(int, value, where, name)
-            if kwargs[name] < 0:
-                raise CheckpointError(f"checkpoint {where}.{name}: {value} is negative")
-            if kwargs[name] >= 2**63:  # a stack holds them as int64
-                raise CheckpointError(f"checkpoint {where}.{name}: {value} does not fit in int64")
-        elif optional and value is None:
-            kwargs[name] = None
-        else:
-            kwargs[name] = _restore(field_hint, value, net, f"{where}.{name}")
-    if hint is Member:
-        kwargs["sparsity"] = sparsity_of(kwargs["mask"])
-    elif hint is GaussianPolicy:
-        kwargs["mask"] = mask_of_ones(kwargs["params"])
-    if hint is not Population:
-        return hint(**kwargs)
-    k = net.population_size
-    records = _list(record["members"], f"{where}.members")
-    if len(records) != k:
-        raise CheckpointError(f"checkpoint {where}: {len(records)} members, the config has {k}")
-    members = [_restore(Member, m, net, f"{where}.members[{i}]") for i, m in enumerate(records)]
-    if kwargs["champion_index"] >= k:
-        raise CheckpointError(f"checkpoint {where}: champion_index {kwargs['champion_index']} outside [0, {k})")
-    soft = {m.target_params is not None for m in members}
-    shared = {kwargs["target_params"] is not None, kwargs["target_mask"] is not None}
-    if soft != {net.soft_targets} or shared != {not net.soft_targets}:
-        wanted = "a soft target per member" if net.soft_targets else "one shared target"
-        raise CheckpointError(f"checkpoint {where}: this config's population has {wanted} and no other")
-    population = Population(members, **kwargs)
-    stack = population.stack
-    ids, target = stack.lineage_id, stack.mask_target
-    for name, bad, why in (
-        ("mask_target", ~((target >= 0.0) & (target < 1.0)), "is outside [0, 1)"),
-        ("lineage_id", ids >= kwargs["next_lineage_id"], "is at or above next_lineage_id"),
-        ("lineage_id", (ids == ids[:, None]).sum(axis=0) > 1, "is another member's too"),
-    ):
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            value = getattr(stack, name).tolist()[i]
-            raise CheckpointError(f"checkpoint {where}.members[{i}].{name}: {value!r} {why}")
-    return population
+def _count(value, shape: tuple, where: str):
+    """A count, index or id: a non-negative int below 2**63 or, given a
+    stack's shape, an int64 array of it with no negative entry."""
+    if shape:
+        value = _array(value, np.int64, shape, where)
+        negative = np.flatnonzero(value < 0)
+        if negative.size:
+            raise CheckpointError(f"checkpoint {where}[{negative[0]}]: {value[negative[0]]} is negative")
+        return value
+    value = _number(int, value, where)
+    if value < 0:
+        raise CheckpointError(f"checkpoint {where}: {value} is negative")
+    if value >= 2**63:  # a stack holds counts and ids as int64
+        raise CheckpointError(f"checkpoint {where}: {value} does not fit in int64")
+    return value
 
 
-def _unpack_mask(record, size: int, where: str) -> np.ndarray:
-    """The float64 0/1 mask of `size` weights that a record of its packed bits
-    holds, refusing a record of another dtype or length or with a padding bit
-    set past the last weight."""
-    nbytes = -(-size // 8)
-    if type(record) is not np.ndarray or record.dtype != np.uint8 or record.shape != (nbytes,):
-        raise CheckpointError(f"checkpoint {where}: expected uint8[{nbytes}], {size} mask bits, got {_kind(record)}")
-    if size % 8 and record[-1] & (0xFF >> size % 8):
-        raise CheckpointError(f"checkpoint {where}: padding bits set past the last of {size} weights")
-    return np.unpackbits(record, count=size).astype(np.float64)
+class _Net(NamedTuple):
+    """The networks the config gives one role (q, actor or critic): their
+    layer specs and layout, and their optimizer's settings. `lead` is () for
+    one network and (K,) for a stack of them."""
 
+    specs: tuple[LayerSpec, ...]
+    layout: Layout
+    learning_rate: float
+    epsilon: float
 
-def _part(hint, record, net: _Net | None, where: str):
-    """A per-family part of the state: present exactly when the config has its network."""
-    if (record is None) != (net is None):
-        raise CheckpointError(f"checkpoint {where}: {'missing' if record is None else 'not used by this config'}")
-    return None if record is None else _restore(hint, record, net, where)
+    def params(self, record, lead: tuple, where: str) -> NetworkParams:
+        return NetworkParams.of(_array(record, np.float64, (*lead, self.layout.size), where), self.specs)
+
+    def mask(self, record, lead: tuple, where: str) -> Mask:
+        """The 0/1 mask whose packed bits a record holds, refusing a record
+        with a padding bit set past the last weight."""
+        n = self.layout.n_weights
+        bits = _array(record, np.uint8, (*lead, -(-n // 8)), where)
+        if n % 8 and (bits[..., -1] & (0xFF >> n % 8)).any():
+            raise CheckpointError(f"checkpoint {where}: padding bits set past the last of {n} weights")
+        return Mask.of(np.unpackbits(bits, axis=-1, count=n).astype(np.float64), self.layout)
+
+    def optimizer(self, record, lead: tuple, where: str) -> AdamState:
+        record = _fields(record, _OPTIMIZER_KEYS, where)
+        return AdamState(
+            self.params(record["m"], lead, f"{where}.m"),
+            self.params(record["v"], lead, f"{where}.v"),
+            _count(record["step_count"], lead, f"{where}.step_count"),
+            self.learning_rate,
+            self.epsilon,
+        )
+
+    def population(self, record, k: int, soft_targets: bool, where: str) -> Population:
+        """A population of k networks with a soft target each or one shared
+        target, refusing one whose member scalars or targets do not fit."""
+        record = _fields(record, _POPULATION_KEYS, where)
+        soft, target, target_mask = record["soft_targets"], record["target_params"], record["target_mask"]
+        if {soft is not None, target is None, target_mask is None} != {soft_targets}:
+            wanted = "a soft target per member" if soft_targets else "one shared target"
+            raise CheckpointError(f"checkpoint {where}: this config's population has {wanted} and no other")
+        mask = self.mask(record["mask"], (k,), f"{where}.mask")
+        ids = _count(record["lineage_id"], (k,), f"{where}.lineage_id")
+        mask_target = _array(record["mask_target"], np.float64, (k,), f"{where}.mask_target")
+        champion = _count(record["champion_index"], (), f"{where}.champion_index")
+        next_id = _count(record["next_lineage_id"], (), f"{where}.next_lineage_id")
+        if champion >= k:
+            raise CheckpointError(f"checkpoint {where}: champion_index {champion} outside [0, {k})")
+        for name, values, bad, why in (
+            ("mask_target", mask_target, ~((mask_target >= 0.0) & (mask_target < 1.0)), "is outside [0, 1)"),
+            ("lineage_id", ids, ids >= next_id, "is at or above next_lineage_id"),
+            ("lineage_id", ids, (ids == ids[:, None]).sum(axis=0) > 1, "is another member's too"),
+        ):
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise CheckpointError(f"checkpoint {where}.{name}[{i}]: {values.tolist()[i]!r} {why}")
+        stack = Member(
+            params=self.params(record["params"], (k,), f"{where}.params"),
+            mask=mask,
+            optimizer=self.optimizer(record["optimizer"], (k,), f"{where}.optimizer"),
+            cumulated_loss=_array(record["cumulated_loss"], np.float64, (k,), f"{where}.cumulated_loss"),
+            sparsity=sparsity_of(mask),
+            lineage_id=ids,
+            mask_target=mask_target,
+            target_params=None if soft is None else self.params(soft, (k,), f"{where}.soft_targets"),
+        )
+        target = None if target is None else self.params(target, (), f"{where}.target_params")
+        target_mask = None if target_mask is None else self.mask(target_mask, (), f"{where}.target_mask")
+        return Population.of(stack, target, target_mask, champion, next_id)
 
 
 def state_to_payload(state: TrainState) -> dict:
-    config = state.config
+    config, policy, twin = state.config, state.policy, state.twin
     return {
         "config_text": canonical_text(config),
         "config_digest": config_digest(config),
@@ -431,9 +426,11 @@ def state_to_payload(state: TrainState) -> dict:
         "logged_champion": state.logged_champion,
         "logged_behavior": state.logged_behavior,
         "logged_behaviors": list(state.logged_behaviors),
-        "population": _record(state.population),
-        "policy": _record(state.policy),
-        "twin": _record(state.twin),
+        "population": None if state.population is None else _population_record(state.population),
+        "policy": None if policy is None else {
+            "params": policy.params.flat, "optimizer": _optimizer_record(policy.optimizer)
+        },
+        "twin": None if twin is None else [_population_record(side) for side in twin.sides],
     }
 
 
@@ -455,12 +452,7 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         raise CheckpointError(f"checkpoint config text is not a valid config: {err}") from err
     if config_digest(config) != get("config_digest"):
         raise CheckpointError("checkpoint config text does not match its stored digest")
-    step = _number(int, get("step"), "step")
-    if step < 0:
-        raise CheckpointError(f"checkpoint step {step} is negative")
-    episode_len = _number(int, get("episode_len"), "episode_len")
-    if episode_len < 0:
-        raise CheckpointError(f"checkpoint episode_len {episode_len} is negative")
+    step = _count(get("step"), (), "step")
     env = make_env(config.env)
     spec = env.spec
     try:
@@ -472,24 +464,29 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         raise CheckpointError(f"checkpoint replay buffer does not fit this config: {err!r}") from err
     _fields(get("buffer"), ReplayBuffer.RECORD_KEYS, "buffer")
     k = config.population_size
-    # the values of the _DERIVED fields that the config and the env fix, by
-    # record type; a type is only restored under its own role, so one table
-    # serves every role (a member's sparsity is its mask's, set in _restore)
-    derived = {
-        AdamState: {"learning_rate": config.learning_rate, "epsilon": config.adam_epsilon,
-                    "beta1": AdamState.beta1, "beta2": AdamState.beta2},
-    }
-    if config.is_sac:
-        box = spec.action_space
-        derived[GaussianPolicy] = {"action_dim": box.dimension, "action_low": box.low, "action_high": box.high}
-    specs = {role: mlp_layer_specs(widths) for role, widths in network_widths(config).items()}
-    q, actor, critic = (
-        _Net(specs[role], spec_layout(specs[role]), k, role == "critic", derived) if role in specs else None
-        for role in ("q", "actor", "critic")
-    )
-    population = _part(Population, get("population"), q, "population")
-    policy = _part(GaussianPolicy, get("policy"), actor, "policy")
-    twin = _part(TwinCriticPopulation, get("twin"), critic, "twin")
+    nets = {}
+    for role, widths in network_widths(config).items():
+        specs = mlp_layer_specs(widths)
+        nets[role] = _Net(specs, spec_layout(specs), config.learning_rate, config.adam_epsilon)
+
+    def part(name: str, role: str, restore):
+        """A per-family part of the state: present exactly when the config has its network."""
+        record = get(name)
+        if (record is None) != (role not in nets):
+            raise CheckpointError(f"checkpoint {name}: {'missing' if record is None else 'not used by this config'}")
+        return None if record is None else restore(record, nets[role])
+
+    def policy(record, net: _Net) -> GaussianPolicy:
+        record = _fields(record, _POLICY_KEYS, "policy")
+        params, box = net.params(record["params"], (), "policy.params"), spec.action_space
+        optimizer = net.optimizer(record["optimizer"], (), "policy.optimizer")
+        return GaussianPolicy(params, mask_of_ones(params), optimizer, box.dimension, box.low, box.high)
+
+    def twin(record, net: _Net) -> TwinCriticPopulation:
+        if len(_list(record, "twin")) != 2:
+            raise CheckpointError(f"checkpoint twin: {len(record)} sides, expected 2")
+        return TwinCriticPopulation(tuple(net.population(side, k, True, f"twin[{i}]") for i, side in enumerate(record)))
+
     labels = SAC_STREAMS if config.is_sac else VALUE_STREAMS
     states = get("streams")
     if type(states) is not dict or set(states) != set(labels):
@@ -504,9 +501,7 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
             stream.set_state(states[label])
         except (KeyError, OverflowError, TypeError, ValueError) as err:
             raise CheckpointError(f"checkpoint streams[{label!r}]: not a bit-generator state: {err!r}") from err
-    env_state = get("env_state")
-    if type(env_state) is not np.ndarray or env_state.dtype != reset.dtype or env_state.shape != reset.shape:
-        raise CheckpointError(f"checkpoint env_state: expected {_kind(reset)}, got {_kind(env_state)}")
+    env_state = _array(get("env_state"), reset.dtype, reset.shape, "env_state")
     if not env.contains(env_state):
         raise CheckpointError(f"checkpoint env_state: {env_state.tolist()} is not a {spec.id} state")
 
@@ -527,14 +522,14 @@ def payload_to_state(payload: dict, *, adopt_buffer: bool = False) -> TrainState
         env_state=env_state,
         obs=env.observe(env_state),
         episode_return=_number(float, get("episode_return"), "episode_return"),
-        episode_len=episode_len,
+        episode_len=_count(get("episode_len"), (), "episode_len"),
         last_episode_return=_number(float, get("last_episode_return"), "last_episode_return"),
         last_eval=_number(float, get("last_eval"), "last_eval"),
-        population=population,
+        population=part("population", "q", lambda record, net: net.population(record, k, False, "population")),
         logged_champion=index(get("logged_champion"), "logged_champion"),
         logged_behavior=index(get("logged_behavior"), "logged_behavior"),
-        policy=policy,
-        twin=twin,
+        policy=part("policy", "actor", policy),
+        twin=part("twin", "critic", twin),
         logged_behaviors=(index(behaviors[0], "logged_behaviors[0]"), index(behaviors[1], "logged_behaviors[1]")),
     )
 

@@ -88,22 +88,15 @@ def _cmd_inspect(args) -> int:
     print(f"seed: {config.seed}")
     print(f"step: {state.step} / {config.total_steps}")
     print(f"replay: {state.buffer.size} / {state.buffer.capacity} transitions")
-    if state.population is not None:
-        pop = state.population
-        print(f"champion slot: {pop.champion_index}")
-        for k, member in enumerate(pop.members):
-            print(
-                f"member {k}: sparsity={member.sparsity:.4f} "
-                f"loss={member.cumulated_loss!r} lineage={member.lineage_id}"
-            )
+    groups = [("champion slot: ", "", state.population)] if state.population is not None else []
     if state.twin is not None:
-        for i, side in enumerate(state.twin.sides):
-            print(f"critic {i + 1}: champion slot {side.champion_index}")
-            for k, member in enumerate(side.members):
-                print(
-                    f"  member {k}: sparsity={member.sparsity:.4f} "
-                    f"loss={member.cumulated_loss!r} lineage={member.lineage_id}"
-                )
+        groups += [(f"critic {i + 1}: champion slot ", "  ", side) for i, side in enumerate(state.twin.sides)]
+    for heading, indent, pop in groups:
+        print(f"{heading}{pop.champion_index}")
+        stack = pop.stack  # (K,) arrays; tolist() prints Python floats, not np.float64 reprs
+        rows = zip(stack.sparsity.tolist(), stack.cumulated_loss.tolist(), stack.lineage_id.tolist())
+        for k, (sparsity, loss, lineage) in enumerate(rows):
+            print(f"{indent}member {k}: sparsity={sparsity:.4f} loss={loss!r} lineage={lineage}")
     return 0
 
 

@@ -32,7 +32,6 @@ resurrects a pruned weight. Realized sparsity is what gets reported.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -147,9 +146,10 @@ def concat_stacks(stacks: list[Member]) -> Member:
 @dataclass(init=False)
 class Population:
     """K members stacked into one Member, the shared target snapshot, and the
-    champion index. The constructor is the one way member records become a
-    stack (set-up, restore and replace(population, members=...)); stack_row
-    and members read them back."""
+    champion index. The constructor is the one way per-member rows become a
+    stack (set-up and replace(population, members=...)); stack_row and
+    members read them back. Population.of takes a stack as it is (restore,
+    exploration)."""
 
     stack: Member = field(init=False)
     target_params: NetworkParams | None
@@ -172,6 +172,14 @@ class Population:
         self.target_mask = target_mask
         self.champion_index = champion_index
         self.next_lineage_id = next_lineage_id
+
+    @classmethod
+    def of(cls, stack: Member, target_params, target_mask, champion_index: int, next_lineage_id: int) -> Population:
+        """The population around `stack` as it is: not copied, not restacked."""
+        population = object.__new__(cls)
+        population.stack, population.target_params, population.target_mask = stack, target_params, target_mask
+        population.champion_index, population.next_lineage_id = champion_index, next_lineage_id
+        return population
 
     @property
     def k(self) -> int:
@@ -373,10 +381,7 @@ def exploration(
     records = [
         ExplorationRecord(k, s, k in rows, sparsity[k], sources[s], lineage[k]) for k, s in enumerate(selection)
     ]
-    next_population = copy.copy(population)
-    next_population.stack, next_population.champion_index = stack, 0
-    next_population.next_lineage_id = first_id + len(rows)
-    return next_population, records
+    return Population.of(stack, population.target_params, population.target_mask, 0, first_id + len(rows)), records
 
 
 def selection_event(

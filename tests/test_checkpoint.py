@@ -126,6 +126,36 @@ class TestCodec:
         assert info.value.byte_offset == 13
 
 
+def _array_header(dtype: bytes, shape: tuple, nbytes: int) -> bytes:
+    """The encoding of an array up to its payload: tag, dtype, shape and byte length."""
+    return (b"A" + struct.pack("<I", len(dtype)) + dtype + struct.pack(f"<B{len(shape)}q", len(shape), *shape)
+            + struct.pack("<Q", nbytes))
+
+
+# case -> (encoding after the magic, the byte offset the error names, error match)
+MALFORMED_HEADERS = {
+    "negative_dimensions": (_array_header(b"<f8", (-1, -8), 64) + bytes(64), 41,
+                            r"array of shape \[-1, -8\] at byte offset 41: negative dimensions"),
+    "product_past_int64": (_array_header(b"<f8", (2**32, 2**32), 0), 41,
+                           "array length field 0 != expected 147573952589676412928 at byte offset 41"),
+    "too_big_with_no_items": (_array_header(b"<f8", (0, 2**62), 0), 41,
+                              r"array of shape \[0, 4611686018427387904\] at byte offset 41: array is too big"),
+    "unknown_dtype": (_array_header(b"zz", (1,), 8) + bytes(8), 13, "not a numeric array dtype at byte offset 13"),
+    "dtype_not_ascii": (_array_header(b"\xff", (1,), 8) + bytes(8), 13, "not a numeric array dtype at byte offset 13"),
+    "string_not_utf8": (b"S\x01\x00\x00\x00\xff", 13, "string that is not UTF-8 at byte offset 13"),
+    "dict_key_not_utf8": (b"D\x01\x00\x00\x00S\x01\x00\x00\x00\xffN", 18,
+                          "string that is not UTF-8 at byte offset 18"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_header_is_a_parse_error_with_offset(case):
+    encoding, offset, match = MALFORMED_HEADERS[case]
+    with pytest.raises(DataFormatError, match=match) as info:
+        decode_payload(encode_payload({})[:8] + encoding)
+    assert info.value.byte_offset == offset
+
+
 class TestStateRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
         cfg = chain_config(total=800)
@@ -341,62 +371,83 @@ def _extra(key, value):
     return lambda record: dict(record, **{key: value})
 
 
-M0 = ("population", "members", 0)
-S0, S1 = ("twin", "sides", 0, "members"), ("twin", "sides", 1, "members")
+P = ("population",)
+T0, T1 = ("twin", 0), ("twin", 1)
 # case -> (payload's algorithm, path to a payload entry, its replacement given the old value, error match).
-# A network is stored as its buffer: float64[1474] for a dqn member, [2641] for a pendulum critic and [2642]
-# for the actor. A mask is stored as the packed bits of its 0/1 entries: uint8[176] for a dqn member's 1408
-# weights. A soft target is used under its member's mask and the actor is never pruned, so neither mask is
-# stored: a record holding one is refused.
+# A population is stored as its stack: K=1 for dqn, 5 for eaude_dqn and 2 per critic side in the eaude_sac
+# payload. Its params, Adam moments and soft targets are float64 (K, P): P=1474 for a dqn member, 2641 for a
+# pendulum critic and 2642 for the actor. Its mask is the packed bits of its 0/1 entries, uint8 (K, 176) for
+# a dqn member's 1408 weights. A soft target is used under its member's mask and the actor is never pruned, so
+# neither mask is stored: a record holding one is refused.
 MALFORMED_NETWORKS = {
-    "weight_cut_to_3_rows": ("dqn", (*M0, "params"), lambda p: p[:3],
-                             r"population\.members\[0\]\.params: expected float64\[1474\], got float64\[3\]"),
-    "weight_float32": ("dqn", (*M0, "params"), lambda p: p.astype(np.float32),
-                       r"members\[0\]\.params: expected float64\[1474\], got float32\[1474\]"),
-    "missing_bias": ("dqn", (*M0, "params"), lambda p: p[:1408], r"params: expected float64\[1474\], got float64\[1408\]"),
-    "layer_specs": ("dqn", M0, _extra("specs", [[10, 16, "relu"]]), r"population\.members\[0\]: unknown entry 'specs'"),
-    "adam_moment": ("dqn", (*M0, "optimizer", "v"), lambda v: v[:1], r"optimizer\.v: expected float64\[1474\]"),
-    "shared_target": ("dqn", ("population", "target_params"), lambda t: t.reshape(2, -1),
+    "weight_cut_to_3_rows": ("dqn", (*P, "params"), lambda p: p[:, :3],
+                             r"population\.params: expected float64\[1, 1474\], got float64\[1, 3\]"),
+    "weight_float32": ("dqn", (*P, "params"), lambda p: p.astype(np.float32),
+                       r"population\.params: expected float64\[1, 1474\], got float32\[1, 1474\]"),
+    "missing_bias": ("dqn", (*P, "params"), lambda p: p[:, :1408],
+                     r"params: expected float64\[1, 1474\], got float64\[1, 1408\]"),
+    "layer_specs": ("dqn", P, _extra("specs", [[10, 16, "relu"]]), "population: unknown entry 'specs'"),
+    "adam_moment": ("dqn", (*P, "optimizer", "v"), lambda v: v[:, :1],
+                    r"population\.optimizer\.v: expected float64\[1, 1474\]"),
+    "shared_target": ("dqn", (*P, "target_params"), lambda t: t.reshape(2, -1),
                       r"population\.target_params: expected float64\[1474\], got float64\[2, 737\]"),
-    "shared_target_missing": ("dqn", ("population", "target_params"), lambda t: None, "one shared target"),
-    "mask_shape": ("dqn", (*M0, "mask"), lambda m: m[:3],
-                   r"mask: expected uint8\[176\], 1408 mask bits, got uint8\[3\]"),
-    "mask_one_byte_long": ("dqn", ("population", "target_mask"), lambda m: np.append(m, np.uint8(0)),
-                           r"population\.target_mask: expected uint8\[176\], 1408 mask bits, got uint8\[177\]"),
+    "shared_target_missing": ("dqn", (*P, "target_params"), lambda t: None, "one shared target"),
+    "mask_shape": ("dqn", (*P, "mask"), lambda m: m[:, :3],
+                   r"population\.mask: expected uint8\[1, 176\], got uint8\[1, 3\]"),
+    "mask_one_byte_long": ("dqn", (*P, "target_mask"), lambda m: np.append(m, np.uint8(0)),
+                           r"population\.target_mask: expected uint8\[176\], got uint8\[177\]"),
     # a float64 0/1 record (the EAUDECK4 layout) is refused, whatever values it holds
-    "mask_not_binary": ("dqn", (*M0, "mask"), lambda m: _entry(400, 0.5)(np.unpackbits(m).astype(np.float64)),
-                        r"population\.members\[0\]\.mask: expected uint8\[176\], 1408 mask bits, got float64\[1408\]"),
-    "shared_target_mask_not_binary": ("dqn", ("population", "target_mask"),
+    "mask_not_binary": ("dqn", (*P, "mask"),
+                        lambda m: _entry((0, 400), 0.5)(np.unpackbits(m, axis=-1).astype(np.float64)),
+                        r"population\.mask: expected uint8\[1, 176\], got float64\[1, 1408\]"),
+    "shared_target_mask_not_binary": ("dqn", (*P, "target_mask"),
                                       lambda m: _entry(0, np.nan)(np.unpackbits(m).astype(np.float64)),
-                                      r"population\.target_mask: expected uint8\[176\], 1408 mask bits, got float64"),
+                                      r"population\.target_mask: expected uint8\[176\], got float64\[1408\]"),
     # a 5-unit hidden layer on chain has 60 weights: 8 bytes, of which the last 4 bits are padding
-    "mask_padding_bit_set": ("narrow", (*M0, "mask"), _entry(-1, 0b0000_0001),
-                             r"members\[0\]\.mask: padding bits set past the last of 60 weights"),
-    "shared_target_mask_padding_bits_set": ("narrow", ("population", "target_mask"), _entry(-1, 0b1111_1111),
+    "mask_padding_bit_set": ("narrow", (*P, "mask"), _entry((0, -1), 0b0000_0001),
+                             r"population\.mask: padding bits set past the last of 60 weights"),
+    "shared_target_mask_padding_bits_set": ("narrow", (*P, "target_mask"), _entry(-1, 0b1111_1111),
                                             r"population\.target_mask: padding bits set past the last of 60"),
-    "negative_step": ("dqn", ("step",), lambda step: -1, "step -1 is negative"),
-    "negative_adam_step_count": ("dqn", (*M0, "optimizer", "step_count"), lambda n: -2,
-                                 r"members\[0\]\.optimizer\.step_count: -2 is negative"),
-    "population_missing": ("dqn", ("population",), lambda pop: None, "population: missing"),
-    "member_missing": ("eaude_dqn", ("population", "members"), lambda ms: ms[:4], "4 members, the config has 5"),
-    "champion_index_high": ("eaude_dqn", ("population", "champion_index"), lambda i: 5, "champion_index 5"),
-    "champion_index_negative": ("eaude_dqn", ("population", "champion_index"), lambda i: -1,
-                                "champion_index: -1 is negative"),
-    "lineage_id_unissued": ("eaude_dqn", ("population", "members", 3, "lineage_id"), lambda i: 10**6,
-                            "at or above next_lineage_id"),
-    "soft_target_cut": ("eaude_sac", (*S1, 0, "target_params"), lambda t: t[:3],
-                        r"twin\.sides\[1\]\.members\[0\]\.target_params: expected float64\[2641\]"),
-    "soft_target_missing": ("eaude_sac", (*S0, 1, "target_params"), lambda t: None, "a soft target per member"),
-    "soft_target_mask_not_binary": ("eaude_sac", (*S0, 1), lambda m: dict(m, target_mask=_entry(-1, 2)(m["mask"])),
-                                    r"sides\[0\]\.members\[1\]: unknown entry 'target_mask'"),
-    "critic_side_missing": ("eaude_sac", ("twin", "sides"), lambda sides: sides[:1], "1 entries, expected 2"),
+    "negative_step": ("dqn", ("step",), lambda step: -1, "step: -1 is negative"),
+    "negative_adam_step_count": ("dqn", (*P, "optimizer", "step_count"), _entry(0, -2),
+                                 r"population\.optimizer\.step_count\[0\]: -2 is negative"),
+    "population_missing": ("dqn", P, lambda pop: None, "population: missing"),
+    "member_missing": ("eaude_dqn", (*P, "params"), lambda p: p[:4],
+                       r"population\.params: expected float64\[5, 1474\], got float64\[4, 1474\]"),
+    "champion_index_high": ("eaude_dqn", (*P, "champion_index"), lambda i: 5, "champion_index 5"),
+    "champion_index_negative": ("eaude_dqn", (*P, "champion_index"), lambda i: -1, "champion_index: -1 is negative"),
+    "lineage_id_unissued": ("eaude_dqn", (*P, "lineage_id"), _entry(3, 10**6),
+                            r"population\.lineage_id\[3\]: 1000000 is at or above next_lineage_id"),
+    "soft_target_cut": ("eaude_sac", (*T1, "soft_targets"), lambda t: t[:, :3],
+                        r"twin\[1\]\.soft_targets: expected float64\[2, 2641\], got float64\[2, 3\]"),
+    "soft_target_missing": ("eaude_sac", (*T0, "soft_targets"), lambda t: None, "a soft target per member"),
+    "soft_target_mask_not_binary": ("eaude_sac", T0, lambda side: dict(side, target_mask=np.full((2, 2544), 2.0)),
+                                    r"twin\[0\]: this config's population has a soft target per member and no other"),
+    "critic_side_missing": ("eaude_sac", ("twin",), lambda sides: sides[:1], "twin: 1 sides, expected 2"),
     "policy_weight": ("eaude_sac", ("policy", "params"), lambda p: p[:1],
                       r"policy\.params: expected float64\[2642\], got float64\[1\]"),
     "policy_mask_not_binary": ("eaude_sac", ("policy",), _extra("mask", _entry(0, -1.0)(np.ones(2544))),
                                "policy: unknown entry 'mask'"),
     "policy_adam_step_count": ("eaude_sac", ("policy", "optimizer", "step_count"), lambda n: -1,
                                r"policy\.optimizer\.step_count: -1 is negative"),
-    "population_in_sac": ("eaude_sac", ("population",), lambda pop: {}, "population: not used"),
+    "population_in_sac": ("eaude_sac", P, lambda pop: {}, "population: not used"),
+    # each (K, ...) entry of a stack one row short: 4 rows for eaude_dqn's 5 members, 1 for a critic side's 2
+    "mask_a_row_short": ("eaude_dqn", (*P, "mask"), lambda m: m[:4],
+                         r"population\.mask: expected uint8\[5, 176\], got uint8\[4, 176\]"),
+    "adam_m_a_row_short": ("eaude_dqn", (*P, "optimizer", "m"), lambda m: m[:4],
+                           r"population\.optimizer\.m: expected float64\[5, 1474\], got float64\[4, 1474\]"),
+    "adam_v_a_row_short": ("eaude_dqn", (*P, "optimizer", "v"), lambda v: v[:4],
+                           r"population\.optimizer\.v: expected float64\[5, 1474\], got float64\[4, 1474\]"),
+    "adam_step_counts_a_row_short": ("eaude_dqn", (*P, "optimizer", "step_count"), lambda n: n[:4],
+                                     r"population\.optimizer\.step_count: expected int64\[5\], got int64\[4\]"),
+    "losses_a_row_short": ("eaude_dqn", (*P, "cumulated_loss"), lambda v: v[:4],
+                           r"population\.cumulated_loss: expected float64\[5\], got float64\[4\]"),
+    "lineage_ids_a_row_short": ("eaude_dqn", (*P, "lineage_id"), lambda i: i[:4],
+                                r"population\.lineage_id: expected int64\[5\], got int64\[4\]"),
+    "mask_targets_a_row_short": ("eaude_dqn", (*P, "mask_target"), lambda t: t[:4],
+                                 r"population\.mask_target: expected float64\[5\], got float64\[4\]"),
+    "soft_targets_a_row_short": ("eaude_sac", (*T1, "soft_targets"), lambda t: t[:1],
+                                 r"twin\[1\]\.soft_targets: expected float64\[2, 2641\], got float64\[1, 2641\]"),
 }
 
 
@@ -424,18 +475,17 @@ DROP = object()  # a replacement that deletes the entry
 
 # case -> (payload's algorithm, path to a payload entry, its replacement or DROP, error match)
 MALFORMED_STATE = {
-    "member_weights_missing": ("dqn", (*M0, "params"), lambda w: DROP, r"population\.members\[0\]: no 'params' entry"),
-    "mask_record_an_int": ("dqn", (*M0, "mask"), lambda m: 7,
-                           r"population\.members\[0\]\.mask: expected uint8\[176\], 1408 mask bits, got int"),
+    "member_weights_missing": ("dqn", (*P, "params"), lambda w: DROP, "population: no 'params' entry"),
+    "mask_record_an_int": ("dqn", (*P, "mask"), lambda m: 7, r"population\.mask: expected uint8\[1, 176\], got int"),
     "last_eval_missing": ("dqn", ("last_eval",), lambda v: DROP, "payload: no 'last_eval' entry"),
-    "loss_a_string": ("dqn", (*M0, "cumulated_loss"), lambda v: "0.5",
-                      r"members\[0\]\.cumulated_loss: expected float, got str"),
+    "loss_a_string": ("dqn", (*P, "cumulated_loss"), lambda v: "0.5",
+                      r"population\.cumulated_loss: expected float64\[1\], got str"),
     # bool subclasses int, but a count or a loss is never a bool
     "step_a_bool": ("dqn", ("step",), lambda n: True, "step: expected int, got bool"),
-    "loss_a_bool": ("dqn", (*M0, "cumulated_loss"), lambda v: False,
-                    r"members\[0\]\.cumulated_loss: expected float, got bool"),
-    "adam_step_count_a_bool": ("dqn", (*M0, "optimizer", "step_count"), lambda n: True,
-                               r"members\[0\]\.optimizer\.step_count: expected int, got bool"),
+    "loss_a_bool": ("dqn", (*P, "cumulated_loss"), lambda v: v != 0.0,
+                    r"population\.cumulated_loss: expected float64\[1\], got bool\[1\]"),
+    "adam_step_count_a_bool": ("dqn", (*P, "optimizer", "step_count"), lambda n: n != 0,
+                               r"population\.optimizer\.step_count: expected int64\[1\], got bool\[1\]"),
     "config_text_an_int": ("dqn", ("config_text",), lambda t: 5, "config_text: expected str, got int"),
     "replay_ring_missing": ("dqn", ("buffer", "states"), lambda r: DROP, "replay buffer does not fit"),
     "stream_missing": ("dqn", ("streams", "replay"), lambda s: DROP,
@@ -466,7 +516,7 @@ MALFORMED_STATE = {
     "cartpole_state_nan": ("cartpole", ("env_state",), _entry(2, np.nan), r"env_state: \[.*nan.*\] is not a cartpole"),
     "pendulum_state_infinite": ("eaude_sac", ("env_state",), _entry(0, np.inf),
                                 r"env_state: \[inf, .*\] is not a pendulum state"),
-    "negative_episode_len": ("dqn", ("episode_len",), lambda n: -1, "episode_len -1 is negative"),
+    "negative_episode_len": ("dqn", ("episode_len",), lambda n: -1, "episode_len: -1 is negative"),
     "logged_champion_outside": ("dqn", ("logged_champion",), lambda i: 99, r"logged_champion: 99 outside \[0, 1\)"),
     "logged_behavior_negative": ("eaude_dqn", ("logged_behavior",), lambda i: -1,
                                  r"logged_behavior: -1 outside \[0, 5\)"),
@@ -475,39 +525,44 @@ MALFORMED_STATE = {
     "logged_behaviors_outside": ("eaude_sac", ("logged_behaviors",), lambda b: [0, 2],
                                  r"logged_behaviors\[1\]: 2 outside \[0, 2\)"),
     # fields that the config, the env or the mask fix are not stored: a record holding one is refused
-    "twin_alpha": ("eaude_sac", ("twin",), _extra("alpha", 5.0), "twin: unknown entry 'alpha'"),
-    "twin_tau": ("eaude_sac", ("twin",), _extra("tau", 0.9), "twin: unknown entry 'tau'"),
-    "twin_prune_period": ("eaude_sac", ("twin",), _extra("prune_period", 50), "twin: unknown entry 'prune_period'"),
+    "twin_alpha": ("eaude_sac", T0, _extra("alpha", 5.0), r"twin\[0\]: unknown entry 'alpha'"),
+    "twin_tau": ("eaude_sac", T1, _extra("tau", 0.9), r"twin\[1\]: unknown entry 'tau'"),
+    "twin_prune_period": ("eaude_sac", T0, _extra("prune_period", 50), r"twin\[0\]: unknown entry 'prune_period'"),
     "policy_action_high": ("eaude_sac", ("policy",), _extra("action_high", 7.0), "policy: unknown entry 'action_high'"),
     "policy_action_low": ("eaude_sac", ("policy",), _extra("action_low", -1.0), "policy: unknown entry 'action_low'"),
     "policy_action_dim": ("eaude_sac", ("policy",), _extra("action_dim", 3), "policy: unknown entry 'action_dim'"),
     "policy_learning_rate": ("eaude_sac", ("policy", "optimizer"), _extra("learning_rate", 1.0),
                              r"policy\.optimizer: unknown entry 'learning_rate'"),
-    "critic_beta1": ("eaude_sac", (*S0, 0, "optimizer"), _extra("beta1", 1.5),
-                     r"twin\.sides\[0\]\.members\[0\]\.optimizer: unknown entry 'beta1'"),
-    "second_critic_learning_rate": ("eaude_sac", (*S1, 1, "optimizer"), _extra("learning_rate", 1.0),
-                                    r"twin\.sides\[1\]\.members\[1\]\.optimizer: unknown entry 'learning_rate'"),
-    "member_epsilon": ("dqn", (*M0, "optimizer"), _extra("epsilon", 1e-8),
-                       r"members\[0\]\.optimizer: unknown entry 'epsilon'"),
-    "member_beta2": ("eaude_dqn", ("population", "members", 4, "optimizer"), _extra("beta2", 0.99),
-                     r"members\[4\]\.optimizer: unknown entry 'beta2'"),
-    "sparsity_off_its_mask": ("eaude_sac", (*S0, 0), _extra("sparsity", 0.7),
-                              r"twin\.sides\[0\]\.members\[0\]: unknown entry 'sparsity'"),
-    "sparsity_negative_zero": ("dqn", M0, _extra("sparsity", -0.0), r"members\[0\]: unknown entry 'sparsity'"),
-    "population_extra": ("eaude_dqn", ("population",), _extra("k", 5), "population: unknown entry 'k'"),
+    "critic_beta1": ("eaude_sac", (*T0, "optimizer"), _extra("beta1", 1.5),
+                     r"twin\[0\]\.optimizer: unknown entry 'beta1'"),
+    "second_critic_learning_rate": ("eaude_sac", (*T1, "optimizer"), _extra("learning_rate", 1.0),
+                                    r"twin\[1\]\.optimizer: unknown entry 'learning_rate'"),
+    "member_epsilon": ("dqn", (*P, "optimizer"), _extra("epsilon", 1e-8),
+                       r"population\.optimizer: unknown entry 'epsilon'"),
+    "member_beta2": ("eaude_dqn", (*P, "optimizer"), _extra("beta2", 0.99),
+                     r"population\.optimizer: unknown entry 'beta2'"),
+    "sparsity_off_its_mask": ("eaude_sac", T0, _extra("sparsity", np.full(2, 0.7)),
+                              r"twin\[0\]: unknown entry 'sparsity'"),
+    "sparsity_negative_zero": ("dqn", P, _extra("sparsity", np.array([-0.0])), "population: unknown entry 'sparsity'"),
+    "population_extra": ("eaude_dqn", P, _extra("k", 5), "population: unknown entry 'k'"),
     "buffer_extra": ("dqn", ("buffer",), _extra("size", 10), "buffer: unknown entry 'size'"),
     # member scalars that contradict the member's arrays or each other
-    "mask_target_two": ("eaude_dqn", ("population", "members", 1, "mask_target"), lambda t: 2.0,
-                        r"population\.members\[1\]\.mask_target: 2\.0 is outside \[0, 1\)"),
-    "mask_target_nan": ("eaude_sac", (*S1, 0, "mask_target"), lambda t: float("nan"),
-                        r"sides\[1\]\.members\[0\]\.mask_target: nan is outside"),
-    "lineage_id_beyond_int64": ("eaude_dqn", ("population", "members", 3, "lineage_id"), lambda i: 2**63,
-                                r"members\[3\]\.lineage_id: 9223372036854775808 does not fit in int64"),
-    "adam_step_count_beyond_int64": ("dqn", (*M0, "optimizer", "step_count"), lambda n: 2**64,
-                                     r"members\[0\]\.optimizer\.step_count: 18446744073709551616 does not fit"),
-    "lineage_id_shared": ("eaude_dqn", ("population", "members"),
-                          lambda ms: [*ms[:3], dict(ms[3], lineage_id=ms[1]["lineage_id"]), *ms[4:]],
-                          r"population\.members\[1\]\.lineage_id: \d+ is another member's too"),
+    "mask_target_two": ("eaude_dqn", (*P, "mask_target"), _entry(1, 2.0),
+                        r"population\.mask_target\[1\]: 2\.0 is outside \[0, 1\)"),
+    "mask_target_nan": ("eaude_sac", (*T1, "mask_target"), _entry(0, np.nan),
+                        r"twin\[1\]\.mask_target\[0\]: nan is outside \[0, 1\)"),
+    # a stack holds ids and counts as int64: one past it is a uint64 array
+    "lineage_id_beyond_int64": ("eaude_dqn", (*P, "lineage_id"), lambda i: _entry(3, 2**63)(i.astype(np.uint64)),
+                                r"population\.lineage_id: expected int64\[5\], got uint64\[5\]"),
+    "adam_step_count_beyond_int64": ("dqn", (*P, "optimizer", "step_count"),
+                                     lambda n: _entry(0, 2**63)(n.astype(np.uint64)),
+                                     r"population\.optimizer\.step_count: expected int64\[1\], got uint64\[1\]"),
+    "next_lineage_id_beyond_int64": ("eaude_dqn", (*P, "next_lineage_id"), lambda i: 2**63,
+                                     r"population\.next_lineage_id: 9223372036854775808 does not fit in int64"),
+    "lineage_id_negative": ("eaude_dqn", (*P, "lineage_id"), _entry(2, -1),
+                            r"population\.lineage_id\[2\]: -1 is negative"),
+    "lineage_id_shared": ("eaude_dqn", (*P, "lineage_id"), lambda i: _entry(3, i[1])(i),
+                          r"population\.lineage_id\[1\]: \d+ is another member's too"),
 }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -111,24 +112,24 @@ class TestTrain:
         cfg_path = write_config(tmp_path)
         _, half = run_training(load_config(cfg_path), until_step=300, clock=lambda: 0.0)
         payload = state_to_payload(half)
-        del payload["population"]["members"][0]["mask"]
+        del payload["population"]["mask"]
         damaged = tmp_path / "damaged.ckpt"
         damaged.write_bytes(encode_payload(payload))
         code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--resume", str(damaged)])
         assert code == 2
-        assert "cannot resume: checkpoint population.members[0]: no 'mask' entry" in capsys.readouterr().err
+        assert "cannot resume: checkpoint population: no 'mask' entry" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_resume_from_an_older_format_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         old = tmp_path / "old.ckpt"
         save_checkpoint(init_state(load_config(cfg_path)), old)
-        for version in ("EAUDECK1", "EAUDECK2", "EAUDECK3", "EAUDECK4"):
+        for version in ("EAUDECK1", "EAUDECK2", "EAUDECK3", "EAUDECK4", "EAUDECK5"):
             old.write_bytes(version.encode() + old.read_bytes()[8:])
             assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--resume", str(old)]) == 2
-            assert f"checkpoint format {version} is not this version's EAUDECK5" in capsys.readouterr().err
+            assert f"checkpoint format {version} is not this version's EAUDECK6" in capsys.readouterr().err
             assert main(["inspect", "--checkpoint", str(old)]) == 2
-            assert f"checkpoint format {version} is not this version's EAUDECK5" in capsys.readouterr().err
+            assert f"checkpoint format {version} is not this version's EAUDECK6" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_resume_continues_to_completion(self, tmp_path):
@@ -144,6 +145,45 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path), "--out", str(out), "--resume", str(ckpt)]) == 0
         final = load_checkpoint(out / "checkpoint.ckpt")
         assert final.step == 700
+
+
+# name -> (config, the whole `inspect` output for its final checkpoint): a Q population, and two critic sides
+INSPECTED = {
+    "eaude_dqn": (
+        "algorithm = eaude_dqn\nenv = chain\nseed = 2\nrun.total_steps = 700\nrun.target_period = 250\n",
+        """\
+algorithm: eaude_dqn
+env: chain
+seed: 2
+step: 700 / 700
+replay: 700 / 10000 transitions
+champion slot: 0
+member 0: sparsity=0.0000 loss=12.777936532117723 lineage=0
+member 1: sparsity=0.0099 loss=12.852459680137631 lineage=8
+member 2: sparsity=0.0099 loss=12.852459680137631 lineage=5
+member 3: sparsity=0.0192 loss=12.706478655397497 lineage=9
+member 4: sparsity=0.0099 loss=12.852459680137631 lineage=6
+""",
+    ),
+    "eaude_sac": (
+        "algorithm = eaude_sac\nenv = pendulum\nseed = 2\nrun.total_steps = 250\nreplay.warmup = 100\n"
+        "eval.period = 50\neval.episodes = 1\nlog.period = 50\nsac.prune_period = 100\neaude.population = 2\n"
+        "eaude.tournament = 1\n",
+        """\
+algorithm: eaude_sac
+env: pendulum
+seed: 2
+step: 250 / 250
+replay: 250 / 50000 transitions
+critic 1: champion slot 1
+  member 0: sparsity=0.0000 loss=79.95118483564615 lineage=0
+  member 1: sparsity=0.0098 loss=79.8380952881194 lineage=2
+critic 2: champion slot 0
+  member 0: sparsity=0.0000 loss=87.24702837580257 lineage=0
+  member 1: sparsity=0.0098 loss=97.11867431900804 lineage=3
+""",
+    ),
+}
 
 
 class TestEvaluateAndInspect:
@@ -177,7 +217,7 @@ class TestEvaluateAndInspect:
         assert code == 2
         assert "config error: episodes must be >= 1" in capsys.readouterr().err
 
-    def test_inspect_prints_members(self, run_dir, capsys):
+    def test_inspect_prints_members(self, run_dir, tmp_path, capsys):
         code = main(["inspect", "--checkpoint", str(run_dir / "checkpoint.ckpt")])
         assert code == 0
         text = capsys.readouterr().out
@@ -185,6 +225,13 @@ class TestEvaluateAndInspect:
         assert "member 0: sparsity=" in text
         assert "step: 700 / 700" in text
         assert "replay: 700 / 10000 transitions" in text
+        for name, (config, expected) in INSPECTED.items():
+            out = tmp_path / name
+            cfg = write_config(tmp_path, config, f"{name}.txt")
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["inspect", "--checkpoint", str(out / "checkpoint.ckpt")]) == 0
+            assert capsys.readouterr().out == expected
 
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys):
         junk = tmp_path / "junk.ckpt"
@@ -201,6 +248,15 @@ class TestEvaluateAndInspect:
         bad.write_bytes(encode_payload(payload))
         assert main(["inspect", "--checkpoint", str(bad)]) == 2
         assert "env_state: [99.0] is not a chain state" in capsys.readouterr().err
+
+    def test_malformed_array_header_exits_2(self, run_dir, tmp_path, capsys):
+        magic = (run_dir / "checkpoint.ckpt").read_bytes()[:8]
+        bad = tmp_path / "bad.ckpt"
+        # an array of one item whose dtype string, "zz", names no dtype
+        bad.write_bytes(magic + b"A\x02\x00\x00\x00zz\x01" + struct.pack("<qQ", 1, 8) + bytes(8))
+        assert main(["inspect", "--checkpoint", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: corrupted checkpoint: not a numeric array dtype at byte offset 13\n"
 
     def test_deeply_nested_checkpoint_exits_2(self, run_dir, tmp_path, capsys):
         magic = (run_dir / "checkpoint.ckpt").read_bytes()[:8]
