@@ -1,6 +1,7 @@
 """Run the benchmark in pairs on two source trees and write a BENCH_*.json file.
 
     python3 scripts/pairs.py --base DIR --change DIR --seeds A-B --out FILE [--workload W ...] [--claim TEXT]
+                             [--aa AA_FILE]
 
 One pair per workload W (by default every workload of BENCHMARK.json) and seed
 S in A..B: each tree runs its own
@@ -17,7 +18,10 @@ first, and the `parent` and `change` lines), and a `summary` block per
 workload and end-to-end metric of BENCHMARK.json: each side's quartiles, with
 Weibull plotting positions (numpy's `method="weibull"`, computed as
 `statistics.quantiles(method="exclusive")` does), the pairs in which the change
-read better, and those in which both read the same.
+read better, and those in which both read the same. With --aa, each block
+also gets the quartiles of AA_FILE, an A/A file this script wrote earlier, for
+the same workload and metric (`aa_parent_quartiles`, `aa_change_quartiles`),
+so the claim's spread reads beside the noise floor's.
 """
 
 from __future__ import annotations
@@ -63,6 +67,18 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def add_aa(summary: dict, aa_summary: dict) -> dict:
+    """`summary` with each block's quartiles from the A/A file's summary beside its own, where
+    the A/A file has that workload and metric."""
+    for workload, blocks in summary.items():
+        for name, block in blocks.items():
+            aa = aa_summary.get(workload, {}).get(name)
+            if aa is not None:
+                block["aa_parent_quartiles"] = aa["parent_quartiles"]
+                block["aa_change_quartiles"] = aa["change_quartiles"]
+    return summary
+
+
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The last line `perfbench/run.py` prints in `tree`, parsed; RuntimeError if the run fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -97,7 +113,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=seed_range, metavar="A-B")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--claim", help="the claim the runs test, stored in the file")
+    parser.add_argument("--aa", type=Path, metavar="AA_FILE", help="an A/A file whose quartiles to copy beside these")
     args = parser.parse_args(argv)
+    aa = json.loads(args.aa.read_text(encoding="utf-8")) if args.aa else None
+    if aa is not None and aa.get("change") != "the parent itself (A/A)":
+        parser.error(f"{args.aa} is not an A/A file")
     trees = {"parent": args.base.resolve(), "change": args.change.resolve()}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
@@ -122,15 +142,18 @@ def main(argv=None) -> int:
         "parent": revision(trees["parent"]),
         "change": "the parent itself (A/A)" if trees["change"] == trees["parent"] else revision(trees["change"]),
         "claim": args.claim,
-        "summary": summary(runs, spec["end_to_end"]),
+        "aa": None if aa is None else {"file": args.aa.name, "parent": aa["parent"]},
+        "summary": add_aa(summary(runs, spec["end_to_end"]), {} if aa is None else aa["summary"]),
         "runs": runs,
     }
     args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     for workload, blocks in bench["summary"].items():
         for name, block in blocks.items():
+            aa_text = (f"; A/A parent quartiles {', '.join(f'{q:.6g}' for q in block['aa_parent_quartiles'])}"
+                       if "aa_parent_quartiles" in block else "")
             print(f"{workload}  {name}: parent {block['parent_quartiles'][1]:.6g}, "
                   f"change {block['change_quartiles'][1]:.6g} {block['unit']} (medians); "
-                  f"change better in {block['change_better_pairs']}, equal in {block['equal_pairs']}")
+                  f"change better in {block['change_better_pairs']}, equal in {block['equal_pairs']}{aa_text}")
     return 0
 
 

@@ -141,10 +141,23 @@ def _decode(reader: _Reader, depth: int = 0):
     if tag == b"N":
         return None
     if tag == b"B":
-        return reader.take(1, "bool") == b"\x01"
+        start = reader.offset
+        byte = reader.take(1, "bool")
+        if byte not in (b"\x00", b"\x01"):
+            raise DataFormatError(
+                f"corrupted checkpoint: bool byte {byte[0]:#04x} at byte offset {start}", byte_offset=start
+            )
+        return byte == b"\x01"
     if tag == b"I":
         (n,) = reader.unpack("<I", "int length")
-        return int.from_bytes(reader.take(n, "int payload"), "little", signed=True)
+        start = reader.offset
+        value = int.from_bytes(reader.take(n, "int payload"), "little", signed=True)
+        if n != ((value.bit_length() + 8) // 8 or 1):  # the encoder writes the shortest two's complement
+            raise DataFormatError(
+                f"corrupted checkpoint: {n}-byte int {value} is not in its shortest form at byte offset {start}",
+                byte_offset=start,
+            )
+        return value
     if tag == b"F":
         return reader.unpack("<d", "float")[0]
     if tag == b"S":

@@ -9,28 +9,31 @@ from dataclasses import replace
 
 import numpy as np
 
-from .nncore import NetworkParams, forward
+from .nncore import Frozen, Workspace, forward
 from .population import Member, Network, member_gradient_step
-from .pruning import Mask, PolyPruneConfig, apply_mask, magnitude_mask, poly_schedule, sparsity_of
+from .pruning import PolyPruneConfig, apply_mask, magnitude_mask, poly_schedule, sparsity_of
 from .replay import Batch
 from .rng import RngStream
 
 
-def td_targets(target_params: NetworkParams, target_mask: Mask, batch: Batch, gamma: float) -> np.ndarray:
-    """y_j = r_j + gamma * (1 - done_j) * max_a' Q(s'_j, a').
+def td_targets(target: Frozen, batch: Batch, gamma: float) -> np.ndarray:
+    """y_j = r_j + gamma * (1 - done_j) * max_a' Q(s'_j, a'), with Q the
+    frozen target network (Population.target).
 
     One shared vector per gradient pass, consumed identically by every member.
     """
-    q_next = forward(target_params, target_mask, batch.next_states)
+    q_next = target(batch.next_states)
     return batch.rewards + gamma * (1.0 - batch.dones) * q_next.max(axis=1)
 
 
-def train_member(member: Member, batch: Batch, targets: np.ndarray) -> tuple[Member, float]:
+def train_member(
+    member: Member, batch: Batch, targets: np.ndarray, workspace: Workspace | None = None
+) -> tuple[Member, float]:
     """One masked gradient step on the summed squared TD error.
 
     Takes one member or a population's stack (one step for every row).
     """
-    return member_gradient_step(member, batch.states, batch.actions, targets)
+    return member_gradient_step(member, batch.states, batch.actions, targets, workspace)
 
 
 def epsilon_at(step: int, start: float, end: float, decay_steps: int) -> float:

@@ -232,7 +232,7 @@ class CartPoleEnv:
     def step(self, state, action, rng: RngStream):
         if action not in (0, 1):
             raise ConfigError(f"cartpole action must be 0 or 1, got {action}")
-        x, x_dot, theta, theta_dot = state
+        x, x_dot, theta, theta_dot = state.tolist()  # Python floats: the same IEEE arithmetic, faster
         force = self.FORCE if action == 1 else -self.FORCE
         total_mass = self.MASS_CART + self.MASS_POLE
         pole_mass_length = self.MASS_POLE * self.HALF_LENGTH

@@ -20,6 +20,16 @@ passes. Adam, the mask multiply and copies are each one array operation on
 the whole buffer.
 
 The kernels return new parameter/state values and never mutate their inputs.
+td_loss_and_grad and adam_step take an optional Workspace: the scratch arrays
+of one (layout, stack rows, batch) shape, filled with `out=` instead of
+allocated per call. It holds the effective weights, each layer's activations
+and activation derivatives (which the reverse pass overwrites with its deltas
+and dz), the output gradient, the unmasked parameter gradient and Adam's two
+temporaries. Nothing a kernel returns aliases a workspace: gradients, new
+parameters and moments are fresh arrays. Without one a kernel builds a
+throwaway workspace, so there is one code path. A Frozen network holds the
+effective weights of a network that many forward passes read unchanged (the
+shared DQN target between target updates).
 """
 
 from __future__ import annotations
@@ -213,21 +223,6 @@ def init_network(layer_specs: Sequence[LayerSpec], rng: "RngStream") -> NetworkP
     return params
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The activation's derivative (not called for identity, whose is 1)."""
-    if name == "relu":
-        return z > 0.0  # a multiply casts it to exact 1.0 / 0.0
-    return 1.0 - a * a  # tanh
-
-
 def check_mask(params: NetworkParams, mask: "Mask") -> None:
     """Refuse a mask that does not cover exactly the network's weights."""
     if mask.layout is params.layout and mask.flat.shape[:-1] == params.flat.shape[:-1]:
@@ -239,9 +234,8 @@ def check_mask(params: NetworkParams, mask: "Mask") -> None:
             raise ConfigError(f"layer {i}: mask shape {m.shape} != weight shape {w.shape}")
 
 
-def _effective_weights(params: NetworkParams, mask: "Mask", x: np.ndarray) -> LayerViews:
-    """Check the input and the mask; the effective weights w * mask, made
-    with one multiply over the weight prefix, as per-layer views."""
+def _check_input(params: NetworkParams, mask: "Mask", x: np.ndarray) -> None:
+    """Refuse an input the network cannot take, or a mask that does not fit it."""
     if x.ndim < 2 and params.flat.ndim == 2:
         raise ConfigError("a stack of networks takes a batch of inputs, not a single vector")
     if x.shape[-1] != params.layer_specs[0].input_width:
@@ -249,15 +243,22 @@ def _effective_weights(params: NetworkParams, mask: "Mask", x: np.ndarray) -> La
             f"input width {x.shape[-1]} != network input width {params.layer_specs[0].input_width}"
         )
     check_mask(params, mask)
-    lay = params.layout
-    return layer_views(params.flat[..., : lay.n_weights] * mask.flat, lay.weight_slices, lay.weight_shapes)
 
 
-def _preact(a: np.ndarray, w_eff: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ w_eff.T + b; a stack's (K, out) biases broadcast over the batch rows."""
-    z = a @ w_eff.swapaxes(-1, -2)
-    # in place: a broadcast add into a new (K, batch, out) array costs more
-    z += b[:, None, :] if b.ndim == 2 else b
+def _all_finite(a: np.ndarray, flags: np.ndarray | None = None) -> bool:
+    """Whether every entry of `a` is finite (counting is faster than .all())."""
+    return np.count_nonzero(np.isfinite(a, out=flags)) == a.size
+
+
+def _layer(a: np.ndarray, w_t: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
+    """activation(a @ w_t + b) in a fresh array. A stack's (K, 1, out) biases
+    broadcast over the batch rows."""
+    z = a @ w_t
+    z += b  # in place: a broadcast add into a new (K, batch, out) array costs more
+    if activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif activation == "tanh":
+        np.tanh(z, out=z)
     return z
 
 
@@ -269,61 +270,171 @@ def forward(params: NetworkParams, mask: "Mask", x) -> np.ndarray:
     returns (K, batch, out).
     """
     a = np.asarray(x, dtype=np.float64)
-    effective, biases = _effective_weights(params, mask, a), params.biases
-    for i, spec in enumerate(params.layer_specs):
-        a = _activate(spec.activation, _preact(a, effective[i], biases[i]))
+    _check_input(params, mask, a)
+    for layer in _layers(params, mask):
+        a = _layer(a, *layer)
     return a
 
 
-def _forward_cache(params: NetworkParams, mask: "Mask", x: np.ndarray):
-    """Forward pass keeping activations, pre-activations, and masked weights."""
-    effective, biases = _effective_weights(params, mask, x), params.biases
-    activations = [x]
-    preacts = []
-    a = x
+def _layers(params: NetworkParams, mask: "Mask") -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """Per layer: the transposed effective weights (views into one fresh
+    buffer, w * mask made with one multiply), the biases (views of the
+    network's buffer, shaped to broadcast over a stack's batch rows) and the
+    activation."""
+    lay, flat = params.layout, params.flat
+    effective = flat[..., : lay.n_weights] * mask.flat
+    lead = flat.shape[:-1]
+    return [
+        (effective[..., w].reshape(lead + shape).swapaxes(-1, -2), flat[:, None, b] if lead else flat[b],
+         spec.activation)
+        for w, shape, b, spec in zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices, params.layer_specs)
+    ]
+
+
+class Frozen:
+    """A network made ready for many forward passes: its layers as forward
+    builds them on every call (see _layers). Calling it maps inputs exactly as
+    forward(params, mask, x) does, without redoing that work (the shared DQN
+    target, frozen once per target update).
+
+    The biases are views of the network's buffer: freeze a network that is
+    replaced, not written in place, while the frozen copy is in use.
+    """
+
+    __slots__ = ("layers", "input_width")
+
+    def __init__(self, params: NetworkParams, mask: "Mask"):
+        check_mask(params, mask)
+        self.layers = _layers(params, mask)
+        self.input_width = params.layer_specs[0].input_width
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[-1] != self.input_width:
+            raise ConfigError(f"input width {x.shape[-1]} != network input width {self.input_width}")
+        for layer in self.layers:
+            x = _layer(x, *layer)
+        return x
+
+
+class Workspace:
+    """Scratch arrays for the TD pass and Adam step of one network or stack.
+
+    Shaped on first use for a (layout, stack rows, batch), and reshaped only
+    if that changes. It holds the effective weights w * mask (one buffer and
+    its per-layer views); per layer, the activations (the pre-activations
+    first, activated in place, and in the reverse pass the delta w.r.t. them)
+    and the activation's derivative (computed in the forward pass, and in the
+    reverse pass the dz it multiplies into); the output gradient `dout`; the
+    parameter gradient before it is masked into a fresh buffer; and Adam's two
+    scratch buffers. The kernels fill them with `out=`, and nothing they return
+    aliases a workspace, so a run keeps one per concurrent pass and reuses it
+    every step. A kernel given none builds a throwaway one.
+    """
+
+    def __init__(self):
+        self.key = None
+        self._adam = None
+
+    def fit(self, params: NetworkParams, batch: int) -> "Workspace":
+        key = (params.layout, params.flat.shape[:-1], batch)
+        if key != self.key:
+            self._build(params.layer_specs, *key)
+        return self
+
+    def _build(self, specs, lay: Layout, lead: tuple, batch: int) -> None:
+        self.key = (lay, lead, batch)
+        self.effective = np.empty(lead + (lay.n_weights,))
+        self.weights = layer_views(self.effective, lay.weight_slices, lay.weight_shapes)
+        self.weights_t = [w.swapaxes(-1, -2) for w in self.weights]
+        self.x = None  # the input batch of the last forward pass
+        self.outputs = [np.empty(lead + (batch, s.output_width)) for s in specs]
+        self.derivs = [None if s.activation == "identity" else np.empty(a.shape) for a, s in zip(self.outputs, specs)]
+        self.finite = [np.empty(a.shape, dtype=bool) for a in self.outputs]
+        self.dout = np.empty(self.outputs[-1].shape)
+        self.rows = np.arange(batch)
+        self._grad = None
+
+    def grad(self) -> tuple[np.ndarray, LayerViews, list[np.ndarray]]:
+        """The parameter gradient buffer with its weight and bias views."""
+        if self._grad is None:
+            lay, lead, _ = self.key
+            flat = np.empty(lead + (lay.size,))
+            self._grad = flat, layer_views(flat, lay.weight_slices, lay.weight_shapes), [
+                flat[..., sl] for sl in lay.bias_slices
+            ]
+        return self._grad
+
+    def adam(self, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Adam's two scratch buffers, of a parameter buffer's shape."""
+        if self._adam is None or self._adam[0].shape != shape:
+            self._adam = (np.empty(shape), np.empty(shape))
+        return self._adam
+
+
+def _forward_cache(params: NetworkParams, mask: "Mask", x: np.ndarray, workspace: Workspace | None = None) -> Workspace:
+    """Forward pass over a batch keeping what the reverse pass reads (masked
+    weights, activations, activation derivatives) in the workspace."""
+    _check_input(params, mask, x)
+    ws = (Workspace() if workspace is None else workspace).fit(params, x.shape[0])
+    lay, flat = params.layout, params.flat
+    np.multiply(flat[..., : lay.n_weights], mask.flat, out=ws.effective)
+    stacked = flat.ndim == 2
+    ws.x = a = x
     for i, spec in enumerate(params.layer_specs):
-        z = _preact(a, effective[i], biases[i])
-        if not np.isfinite(z).all():
+        z = np.matmul(a, ws.weights_t[i], out=ws.outputs[i])
+        z += flat[:, None, lay.bias_slices[i]] if stacked else flat[lay.bias_slices[i]]
+        if not _all_finite(z, ws.finite[i]):
             raise NonFiniteError(f"non-finite pre-activation in layer {i}", layer_index=i)
-        a = _activate(spec.activation, z)
-        preacts.append(z)
-        activations.append(a)
-    return activations, preacts, effective
+        if spec.activation == "relu":  # derivative 1.0 / 0.0 as floats: a float multiply is faster than a cast
+            np.greater(z, 0.0, out=ws.derivs[i])
+            np.maximum(z, 0.0, out=z)
+        elif spec.activation == "tanh":  # derivative 1 - a^2
+            np.tanh(z, out=z)
+            d = np.multiply(z, z, out=ws.derivs[i])
+            np.subtract(1.0, d, out=d)
+        a = z
+    return ws
 
 
 def backprop_from_output(
     params: NetworkParams,
     mask: "Mask",
-    activations: list[np.ndarray],
-    preacts: list[np.ndarray],
+    ws: Workspace,
     dout: np.ndarray,
-    effective: list[np.ndarray],
     *,
     param_grads: bool = True,
     input_grad: bool = True,
 ) -> tuple[NetworkParams | None, np.ndarray | None]:
-    """Reverse pass from a gradient w.r.t. the network output.
+    """Reverse pass from a gradient w.r.t. the network output, through the
+    forward pass that `_forward_cache` kept in `ws` (which it overwrites).
 
-    Returns (parameter gradients, gradient w.r.t. the input batch); either
-    is None, and not computed, when its flag is off. The parameter gradients
-    are one buffer, hard-zeroed at masked weights by one multiply. For a
-    stack, dout is (K, batch, out) and every gradient carries the leading
-    (K,) axis.
+    Returns (parameter gradients, gradient w.r.t. the input batch), both
+    fresh arrays; either is None, and not computed, when its flag is off. The
+    parameter gradients are one buffer, hard-zeroed at masked weights by one
+    multiply. For a stack, dout is (K, batch, out) and every gradient carries
+    the leading (K,) axis.
     """
-    grad = params.like(np.empty(params.flat.shape)) if param_grads else None
+    if param_grads:
+        flat, grad_weights, grad_biases = ws.grad()
     delta = dout
     for i in reversed(range(len(params.layer_specs))):
-        spec = params.layer_specs[i]
         dz = delta
-        if spec.activation != "identity":
-            dz = delta * _activate_grad(spec.activation, preacts[i], activations[i + 1])
-        if param_grads:  # straight into the gradient buffer's layer views
-            np.matmul(dz.swapaxes(-1, -2), activations[i], out=grad.weights[i])
-            np.add.reduce(dz, axis=-2, out=grad.biases[i])  # dz.sum(axis=-2)
-        if i or input_grad:
-            delta = dz @ effective[i]
-    if param_grads:
-        grad.flat[..., : params.layout.n_weights] *= mask.flat
+        if ws.derivs[i] is not None:
+            dz = np.multiply(delta, ws.derivs[i], out=ws.derivs[i])
+        a_in = ws.outputs[i - 1] if i else ws.x
+        if param_grads:
+            np.matmul(dz.swapaxes(-1, -2), a_in, out=grad_weights[i])
+            np.add.reduce(dz, axis=-2, out=grad_biases[i])  # dz.sum(axis=-2)
+        if i:  # layer i-1's activations are read for the last time above
+            delta = np.matmul(dz, ws.weights[i], out=a_in)
+        elif input_grad:
+            delta = dz @ ws.weights[0]
+    grad = None
+    if param_grads:  # masked weights, then biases, into a fresh buffer
+        n = params.layout.n_weights
+        grad = params.like(np.empty(flat.shape))
+        np.multiply(flat[..., :n], mask.flat, out=grad.flat[..., :n])
+        grad.flat[..., n:] = flat[..., n:]
     return grad, (delta if input_grad else None)
 
 
@@ -333,31 +444,33 @@ def td_loss_and_grad(
     batch_inputs,
     batch_action_indices,
     batch_targets,
+    workspace: Workspace | None = None,
 ) -> tuple[float, NetworkParams]:
     """Summed squared TD error over the batch and its parameter gradient.
 
     loss = sum_j (target_j - Q(s_j)[a_j])^2, restricted to the selected
     action outputs. Gradient entries at masked-out weights are exactly zero.
     A stack scores the one batch with each network: the loss is then a (K,)
-    array and the gradient is stacked.
+    array and the gradient is stacked. Scratch arrays come from `workspace`
+    (a throwaway one when None); the loss and gradient never alias it.
     """
     x = np.atleast_2d(np.asarray(batch_inputs, dtype=np.float64))
     actions = np.asarray(batch_action_indices, dtype=np.int64)
     targets = np.asarray(batch_targets, dtype=np.float64)
     if x.shape[0] == 0:
         raise ConfigError("batch must be nonempty")
-    if not np.isfinite(targets).all():
+    if not _all_finite(targets):
         raise NonFiniteError("non-finite targets")
-    activations, preacts, effective = _forward_cache(params, mask, x)
-    out = activations[-1]
-    rows = np.arange(x.shape[0])
+    ws = _forward_cache(params, mask, x, workspace)
+    rows = ws.rows
     # contiguous rows: a strided dot product rounds differently
-    residual = np.ascontiguousarray(out[..., rows, actions] - targets)
+    residual = np.ascontiguousarray(ws.outputs[-1][..., rows, actions] - targets)
     # one dot product per network: the BLAS call of `residual @ residual`
     loss = (residual[..., None, :] @ residual[..., :, None])[..., 0, 0]
-    dout = np.zeros_like(out)
+    dout = ws.dout
+    dout.fill(0.0)
     dout[..., rows, actions] = 2.0 * residual
-    grad, _ = backprop_from_output(params, mask, activations, preacts, dout, effective, input_grad=False)
+    grad, _ = backprop_from_output(params, mask, ws, dout, input_grad=False)
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 
@@ -407,14 +520,16 @@ def init_adam_state(
 
 
 def adam_step(
-    params: NetworkParams, grad: NetworkParams, state: AdamState
+    params: NetworkParams, grad: NetworkParams, state: AdamState, workspace: Workspace | None = None
 ) -> tuple[NetworkParams, AdamState]:
     """One bias-corrected Adam update: p -= lr * m_hat / (sqrt(v_hat) + eps).
 
     Positions whose gradient is zero with zero accumulated moments (all
     masked-out weights under a fresh optimizer) are left bit-identical. The
     whole buffer, or a stack's, is updated at once, each row with its own
-    step count.
+    step count. The new parameters and moments are fresh arrays; the
+    temporaries go into `workspace`'s two Adam buffers (throwaway ones when
+    None).
     """
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
@@ -429,20 +544,21 @@ def adam_step(
         bc1 = np.array([[1.0 - b1**s] for s in steps])
         bc2 = np.array([[1.0 - b2**s] for s in steps])
     g = grad.flat
+    scratch, den = (Workspace() if workspace is None else workspace).adam(g.shape)
     # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g^2, each into a
     # fresh array; the operand order differs from the formula only where IEEE
     # arithmetic commutes
     m = np.multiply(state.m.flat, b1)
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=scratch)
     v = np.multiply(g, g)
     v *= 1.0 - b2
-    v += b2 * state.v.flat
+    v += np.multiply(state.v.flat, b2, out=scratch)
     if uniform and bc1 == 1.0:  # b1**t has fallen below 2**-53, and m / 1.0 is m
         step = np.multiply(m, state.learning_rate)
     else:
         step = np.divide(m, bc1)
         step *= state.learning_rate
-    den = np.divide(v, bc2)
+    np.divide(v, bc2, out=den)
     np.sqrt(den, out=den)
     den += state.epsilon
     step /= den

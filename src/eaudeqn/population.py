@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError
-from .nncore import AdamState, NetworkParams, adam_step, reset_optimizer, td_loss_and_grad
+from .nncore import AdamState, Frozen, NetworkParams, Workspace, adam_step, reset_optimizer, td_loss_and_grad
 from .pruning import (
     EauDeConfig,
     Mask,
@@ -181,6 +181,22 @@ class Population:
         population.champion_index, population.next_lineage_id = champion_index, next_lineage_id
         return population
 
+    def __setattr__(self, name, value):
+        if name in ("target_params", "target_mask"):  # a new target: refreeze on next use
+            self.__dict__["_frozen_target"] = None
+        object.__setattr__(self, name, value)
+
+    @property
+    def target(self) -> Frozen:
+        """The shared target, target_params under target_mask, frozen for
+        td_targets (see nncore.Frozen): built on first use after either is
+        assigned, so once per target update and once after a restore. A
+        target is replaced, never written in place."""
+        frozen = self.__dict__.get("_frozen_target")
+        if frozen is None:
+            frozen = self._frozen_target = Frozen(self.target_params, self.target_mask)
+        return frozen
+
     @property
     def k(self) -> int:
         return len(self.stack.lineage_id)
@@ -245,24 +261,23 @@ def check_finite_loss(loss, member: Member) -> None:
         raise NonFiniteError(f"non-finite batch loss on lineage {np.ravel(member.lineage_id)[first_bad]}")
 
 
-def member_gradient_step(member: Member, inputs, action_indices, targets) -> tuple[Member, float]:
+def member_gradient_step(
+    member: Member, inputs, action_indices, targets, workspace: Workspace | None = None
+) -> tuple[Member, float]:
     """One masked TD gradient step; returns the updated member and batch loss.
 
     The cumulated loss grows by the scalar batch loss; the mask is unchanged;
     weights are re-zeroed at masked positions so the member invariant
     (params exactly zero where masked) holds even when stale optimizer
     moments exist from before a mask change. A stack takes the step on every
-    row at once and returns a (K,) loss.
+    row at once and returns a (K,) loss. `workspace` holds the kernels'
+    scratch arrays (see nncore.Workspace); the updated member shares none.
     """
-    loss, grad = td_loss_and_grad(member.params, member.mask, inputs, action_indices, targets)
+    loss, grad = td_loss_and_grad(member.params, member.mask, inputs, action_indices, targets, workspace)
     check_finite_loss(loss, member)
-    new_params, new_opt = adam_step(member.params, grad, member.optimizer)
-    updated = evolve(
-        member,
-        params=apply_mask(new_params, member.mask),
-        optimizer=new_opt,
-        cumulated_loss=member.cumulated_loss + loss,
-    )
+    new_params, new_opt = adam_step(member.params, grad, member.optimizer, workspace)
+    new_params.flat[..., : new_params.layout.n_weights] *= member.mask.flat  # Adam's output is fresh
+    updated = evolve(member, params=new_params, optimizer=new_opt, cumulated_loss=member.cumulated_loss + loss)
     return updated, loss
 
 

@@ -25,6 +25,7 @@ from .errors import ConfigError
 from .nncore import (
     AdamState,
     NetworkParams,
+    Workspace,
     adam_step,
     backprop_from_output,
     forward,
@@ -187,12 +188,15 @@ def ema_loss_update(loss_ema: float, batch_loss: float, tau: float) -> float:
     return (1.0 - tau) * loss_ema + tau * batch_loss
 
 
-def train_critic_member(member: Member, inputs: np.ndarray, targets: np.ndarray, tau: float) -> tuple[Member, float]:
+def train_critic_member(
+    member: Member, inputs: np.ndarray, targets: np.ndarray, tau: float, workspace: Workspace | None = None
+) -> tuple[Member, float]:
     """One masked TD step on a scalar-output critic, its soft-target update,
     and the EMA loss bookkeeping. Takes one member or a side's stack (one step
-    for every row, with a (K,) loss)."""
+    for every row, with a (K,) loss); `workspace` holds the step's scratch
+    arrays (see nncore.Workspace)."""
     zeros = np.zeros(inputs.shape[0], dtype=np.int64)
-    stepped, loss = member_gradient_step(member, inputs, zeros, targets)
+    stepped, loss = member_gradient_step(member, inputs, zeros, targets, workspace)
     updated = evolve(
         stepped,
         target_params=soft_update(member.target_params, stepped.params, tau),
@@ -217,29 +221,25 @@ def actor_objective_and_grad(
     """
     states2d = np.atleast_2d(np.asarray(states, dtype=np.float64))
 
-    activations, preacts, eff = _forward_cache(policy.params, policy.mask, states2d)
-    out = activations[-1]
+    actor = _forward_cache(policy.params, policy.mask, states2d)
+    out = actor.outputs[-1]
     raw_log_std = out[:, policy.action_dim :]
     inside = (raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX)
     actions, log_prob, std, th = _squash(policy, out, noise)
 
     inputs = critic_inputs(states2d, actions)
-    acts_a, pre_a, eff_a = _forward_cache(critic_a.params, critic_a.mask, inputs)
-    acts_b, pre_b, eff_b = _forward_cache(critic_b.params, critic_b.mask, inputs)
-    q_a = acts_a[-1][:, 0]
-    q_b = acts_b[-1][:, 0]
+    pass_a = _forward_cache(critic_a.params, critic_a.mask, inputs)
+    pass_b = _forward_cache(critic_b.params, critic_b.mask, inputs)
+    q_a = pass_a.outputs[-1][:, 0]
+    q_b = pass_b.outputs[-1][:, 0]
     take_a = (q_a <= q_b).astype(np.float64)
     q_min = np.minimum(q_a, q_b)
     objective = float(np.sum(q_min - alpha * log_prob))
 
     # dJ/da routed through whichever critic attains the minimum per sample
     obs_w = states2d.shape[1]
-    _, din_a = backprop_from_output(
-        critic_a.params, critic_a.mask, acts_a, pre_a, take_a[:, None], eff_a, param_grads=False
-    )
-    _, din_b = backprop_from_output(
-        critic_b.params, critic_b.mask, acts_b, pre_b, (1.0 - take_a)[:, None], eff_b, param_grads=False
-    )
+    _, din_a = backprop_from_output(critic_a.params, critic_a.mask, pass_a, take_a[:, None], param_grads=False)
+    _, din_b = backprop_from_output(critic_b.params, critic_b.mask, pass_b, (1.0 - take_a)[:, None], param_grads=False)
     d_actions = (din_a + din_b)[:, obs_w:]
 
     # d log pi / du = 2*tanh(u); da/du = half_range * (1 - tanh(u)^2)
@@ -248,7 +248,7 @@ def actor_objective_and_grad(
     d_log_std = d_u * (std * noise) + alpha  # +alpha from the -log_std entropy term
     d_log_std = d_log_std * inside  # clamp blocks the gradient at the rails
     dout = np.concatenate([d_mean, d_log_std], axis=1)
-    grad, _ = backprop_from_output(policy.params, policy.mask, activations, preacts, dout, eff, input_grad=False)
+    grad, _ = backprop_from_output(policy.params, policy.mask, actor, dout, input_grad=False)
     return objective, grad
 
 

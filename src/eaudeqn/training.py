@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import defaultdict
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -35,7 +36,7 @@ from .config import ExperimentConfig, config_digest, network_widths, validate_co
 from .dqn import act_epsilon_greedy, distillqn_update, epsilon_at, td_targets, train_member
 from .envs import Transition, make_env
 from .errors import CheckpointError, ConfigError, NonFiniteError
-from .nncore import init_adam_state, init_network, mlp_layer_specs
+from .nncore import Workspace, init_adam_state, init_network, mlp_layer_specs
 from .population import (
     Population,
     concat_stacks,
@@ -226,7 +227,9 @@ def run_training(
     log = RunLog(config)
     clock = clock if clock is not None else time.perf_counter
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    train = partial(_train_stacks, pool=pool, threads=threads)
+    # a workspace per concurrent pass, made at the first learning step and
+    # dropped with the run
+    train = partial(_train_stacks, pool=pool, threads=threads, workspaces=defaultdict(Workspace))
     family = (_ActorCritic if config.is_sac else _ValueBased)(config, train)
     try:
         _run(config, state, log, stop, family, clock)
@@ -238,19 +241,26 @@ def run_training(
     return log, state
 
 
-def _train_stacks(populations, step, *, pool, threads: int) -> None:
-    """Replace each population's stack with step(stack), one stacked pass each.
+def _train_stacks(populations, step, *, pool, threads: int, workspaces) -> None:
+    """Replace each population's stack with step(stack, workspace), one
+    stacked pass each.
 
     With a pool, each stack is cut into up to `threads` contiguous row chunks
     that run concurrently through the same step and are joined in row order.
     Rows never interact and share no random streams, so the result does not
-    depend on the chunking or the scheduling.
+    depend on the chunking or the scheduling. Without a pool the passes run
+    one after another through one workspace, `workspaces[0, 0]`; with one,
+    each (population i, chunk j) pass has its own, `workspaces[i, j]`, so
+    concurrent passes share no scratch arrays.
     """
     if pool is None:
         for pop in populations:
-            pop.stack = step(pop.stack)
+            pop.stack = step(pop.stack, workspaces[0, 0])
         return
-    pending = [[pool.submit(step, chunk) for chunk in split_stack(pop.stack, threads)] for pop in populations]
+    pending = [
+        [pool.submit(step, chunk, workspaces[i, j]) for j, chunk in enumerate(split_stack(pop.stack, threads))]
+        for i, pop in enumerate(populations)
+    ]
     for pop, futures in zip(populations, pending):
         pop.stack = concat_stacks([f.result() for f in futures])
 
@@ -336,7 +346,7 @@ class _ValueBased:
     loss resets)."""
 
     config: ExperimentConfig
-    train: Callable  # _train_stacks bound to the run's pool
+    train: Callable  # _train_stacks bound to the run's pool and workspaces
 
     def act(self, state: TrainState, t: int) -> int:
         config, pop = self.config, state.population
@@ -353,8 +363,8 @@ class _ValueBased:
         if t % config.gradient_period != 0:
             return
         batch = state.buffer.sample_batch(config.batch_size, state.streams["replay"])
-        targets = td_targets(pop.target_params, pop.target_mask, batch, config.discount)
-        self.train([pop], lambda s: train_member(s, batch, targets)[0])
+        targets = td_targets(pop.target, batch, config.discount)
+        self.train([pop], lambda s, ws: train_member(s, batch, targets, ws)[0])
 
     def events(self, state: TrainState, t: int, log: RunLog) -> bool:
         config, pop = self.config, state.population
@@ -406,7 +416,7 @@ class _ActorCritic:
     prune_period steps."""
 
     config: ExperimentConfig
-    train: Callable  # _train_stacks bound to the run's pool
+    train: Callable  # _train_stacks bound to the run's pool and workspaces
 
     def act(self, state: TrainState, t: int) -> np.ndarray:
         action, _ = draw_action(state.policy, state.obs, state.streams["policy"])
@@ -418,7 +428,7 @@ class _ActorCritic:
             batch = state.buffer.sample_batch(config.batch_size, streams["replay"])
             targets = sac_critic_targets(twin, state.policy, batch, config.discount, config.alpha, streams["target"])
             inputs = critic_inputs(batch.states, batch.actions)
-            self.train(twin.sides, lambda s: train_critic_member(s, inputs, targets, config.tau)[0])
+            self.train(twin.sides, lambda s, ws: train_critic_member(s, inputs, targets, config.tau, ws)[0])
             for side in twin.sides:
                 side.champion_index = select_target(side.losses())
         state.policy, state.logged_behaviors = sac_actor_update(

@@ -145,6 +145,12 @@ MALFORMED_HEADERS = {
     "string_not_utf8": (b"S\x01\x00\x00\x00\xff", 13, "string that is not UTF-8 at byte offset 13"),
     "dict_key_not_utf8": (b"D\x01\x00\x00\x00S\x01\x00\x00\x00\xffN", 18,
                           "string that is not UTF-8 at byte offset 18"),
+    # encodings the encoder never writes: only 0x00 and 0x01 are bools, and an
+    # int takes its shortest two's complement form
+    "bool_byte_two": (b"B\x02", 9, "bool byte 0x02 at byte offset 9"),
+    "int_with_a_padding_byte": (b"I\x02\x00\x00\x00\x05\x00", 13,
+                                "2-byte int 5 is not in its shortest form at byte offset 13"),
+    "int_with_no_bytes": (b"I\x00\x00\x00\x00", 13, "0-byte int 0 is not in its shortest form at byte offset 13"),
 }
 
 

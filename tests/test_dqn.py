@@ -1,7 +1,7 @@
 import numpy as np
 
 from eaudeqn.dqn import act_epsilon_greedy, distillqn_update, epsilon_at, td_targets, train_member
-from eaudeqn.nncore import NetworkParams, LayerSpec, forward, init_adam_state, init_network, mlp_layer_specs
+from eaudeqn.nncore import Frozen, NetworkParams, LayerSpec, forward, init_adam_state, init_network, mlp_layer_specs
 from eaudeqn.population import fresh_member
 from eaudeqn.pruning import PolyPruneConfig, mask_of_ones, masks_equal
 from eaudeqn.replay import Batch
@@ -37,20 +37,20 @@ class TestTdTargets:
     def test_done_transition_cuts_bootstrap(self):
         net = constant_q_net([5.0, 7.0])
         batch = batch_of([[1.0]], [0], [2.5], [[1.0]], [1.0])
-        y = td_targets(net, mask_of_ones(net), batch, 0.99)
+        y = td_targets(Frozen(net, mask_of_ones(net)), batch, 0.99)
         assert np.array_equal(y, np.array([2.5]))
 
     def test_gamma_zero_is_reward(self):
         net = constant_q_net([5.0, 7.0])
         batch = batch_of([[1.0]] * 3, [0, 1, 0], [1.0, -2.0, 0.5], [[1.0]] * 3, [0.0, 0.0, 0.0])
-        y = td_targets(net, mask_of_ones(net), batch, 0.0)
+        y = td_targets(Frozen(net, mask_of_ones(net)), batch, 0.0)
         assert np.array_equal(y, np.array([1.0, -2.0, 0.5]))
 
     def test_hand_value(self):
         # r=1, gamma=0.99, max next-Q = 2, not done -> 2.98
         net = constant_q_net([2.0, -1.0])
         batch = batch_of([[1.0]], [0], [1.0], [[1.0]], [0.0])
-        y = td_targets(net, mask_of_ones(net), batch, 0.99)
+        y = td_targets(Frozen(net, mask_of_ones(net)), batch, 0.99)
         assert abs(float(y[0]) - 2.98) < 1e-12
 
 

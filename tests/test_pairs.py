@@ -81,3 +81,30 @@ def test_a_bad_seed_range_is_refused(seeds, capsys):
     with pytest.raises(SystemExit):
         pairs.main(["--base", ".", "--change", ".", "--seeds", seeds, "--out", "x"])
     assert "expected A-B" in capsys.readouterr().err
+
+
+def test_an_aa_file_puts_its_quartiles_beside_the_claims(tmp_path):
+    base, change = fake_trees(tmp_path, "base", "change")
+    aa = tmp_path / "BENCH_aa.json"
+    assert pairs.main(["--base", base, "--change", base, "--workload", "w1", "--seeds", "1-3", "--out", str(aa)]) == 0
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", base, "--change", change, "--workload", "w1", "--workload", "w2", "--seeds", "4-6",
+            "--out", str(out), "--aa", str(aa)]
+    assert pairs.main(argv) == 0
+    bench, floor = json.loads(out.read_text()), json.loads(aa.read_text())
+    assert bench["aa"] == {"file": "BENCH_aa.json", "parent": floor["parent"]}
+    for name, block in bench["summary"]["w1"].items():
+        assert block["aa_parent_quartiles"] == floor["summary"]["w1"][name]["parent_quartiles"] == [1.0, 2.0, 3.0]
+        assert block["aa_change_quartiles"] == floor["summary"]["w1"][name]["change_quartiles"]
+        assert block["parent_quartiles"] == [4.0, 5.0, 6.0]
+    assert not any("aa_parent_quartiles" in block for block in bench["summary"]["w2"].values())  # not in the A/A file
+
+
+def test_a_claim_file_is_refused_as_an_aa_file(tmp_path, capsys):
+    base, change = fake_trees(tmp_path, "base", "change")
+    claim = tmp_path / "BENCH.json"
+    argv = ["--base", base, "--change", change, "--workload", "w1", "--seeds", "1-2"]
+    assert pairs.main([*argv, "--out", str(claim)]) == 0
+    with pytest.raises(SystemExit):
+        pairs.main([*argv, "--out", str(tmp_path / "x"), "--aa", str(claim)])
+    assert "is not an A/A file" in capsys.readouterr().err
