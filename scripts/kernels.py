@@ -1,10 +1,10 @@
 """Time the nncore kernels and the member steps of two source trees in one process.
 
-    python3 scripts/kernels.py --base DIR --change DIR --out FILE [--seed S] [--calls N] [--repeats R]
+    python3 scripts/kernels.py --base DIR --change DIR --out FILE
 
 Each tree's `src/eaudeqn` is imported under its own name, as ab_chunks.py
 does. For each perfbench workload, both trees train the workload's config from
-seed S to 200 steps past its replay warmup, so masks, Adam moments and the
+seed SEED to 200 steps past its replay warmup, so masks, Adam moments and the
 replay buffer are those of a run, and then time each kernel on that state at
 the shapes the run calls it with:
 
@@ -16,10 +16,11 @@ the shapes the run calls it with:
   critic side), `train_member` (cart-pole) or `train_critic_member`
   (pendulum) on the same stack.
 
-A tree whose kernels take a workspace (`nncore.Workspace`) is timed with one
-kept across calls, as a run keeps it. Each figure is the minimum over R
-repeats of the mean time of N calls in µs, the trees alternating from repeat
-to repeat. FILE gets the figures as JSON; a table goes to stdout.
+A tree whose TD pass takes a workspace (`nncore.Workspace`) is timed with one
+kept across calls, as a run keeps it. Each figure is the minimum over REPEATS
+repeats of the mean time of CALLS calls in µs, the trees alternating from
+repeat to repeat. Seed and counts are fixed so that every kernel file is
+measured the same way. FILE gets the figures as JSON; a table goes to stdout.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from ab_chunks import ORDERS, load_tree
 from pairs import revision
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED, CALLS, REPEATS = 11, 300, 7
 
 
 def kernel_calls(tree: dict) -> dict:
@@ -59,7 +61,7 @@ def kernel_calls(tree: dict) -> dict:
                                lambda: nncore.forward(pop.target_params, pop.target_mask, batch.next_states)),
             "td_loss_and_grad": (f"K={k}, {n} x 4-32-32-2", lambda: nncore.td_loss_and_grad(
                 stack.params, stack.mask, batch.states, batch.actions, targets, *ws)),
-            "adam_step": (f"K={k}, 4-32-32-2", lambda: nncore.adam_step(stack.params, grad, stack.optimizer, *ws)),
+            "adam_step": (f"K={k}, 4-32-32-2", lambda: nncore.adam_step(stack.params, grad, stack.optimizer)),
             "train_member": (f"K={k}, {n} x 4-32-32-2", lambda: mod["dqn"].train_member(stack, batch, targets, *ws)),
         }
     sac, policy, side = mod["sac"], state.policy, state.twin.sides[0]
@@ -74,24 +76,24 @@ def kernel_calls(tree: dict) -> dict:
         "forward/target": (f"{n} x {critic}", lambda: nncore.forward(target.params, target.mask, inputs)),
         "td_loss_and_grad": (f"K={side.k}, {n} x {critic}", lambda: nncore.td_loss_and_grad(
             stack.params, stack.mask, inputs, zeros, targets, *ws)),
-        "adam_step": (f"K={side.k}, {critic}", lambda: nncore.adam_step(stack.params, grad, stack.optimizer, *ws)),
+        "adam_step": (f"K={side.k}, {critic}", lambda: nncore.adam_step(stack.params, grad, stack.optimizer)),
         "train_critic_member": (f"K={side.k}, {n} x {critic}",
                                 lambda: sac.train_critic_member(stack, inputs, targets, config.tau, *ws)),
     }
 
 
-def time_kernels(trees: dict, calls: int, repeats: int) -> dict:
+def time_kernels(trees: dict) -> dict:
     """Per kernel: the shape, and each tree's min-of-repeats mean µs per call."""
     table = {label: kernel_calls(tree) for label, tree in trees.items()}
     best = {label: dict.fromkeys(table[label], float("inf")) for label in trees}
-    for i in range(repeats):
+    for i in range(REPEATS):
         for label in ORDERS[i % 2]:
             for name, (_, fn) in table[label].items():
                 fn()  # the first call may shape a workspace
                 t0 = time.perf_counter()
-                for _ in range(calls):
+                for _ in range(CALLS):
                     fn()
-                best[label][name] = min(best[label][name], (time.perf_counter() - t0) / calls * 1e6)
+                best[label][name] = min(best[label][name], (time.perf_counter() - t0) / CALLS * 1e6)
     return {
         name: {
             "shape": shape,
@@ -108,9 +110,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--calls", type=int, default=300)
-    parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -121,9 +120,9 @@ def main(argv=None) -> int:
         "host": f"{os.cpu_count()} CPUs, {platform.system()} {platform.machine()}, Python {platform.python_version()}",
         "base": revision(args.base.resolve()),
         "change": revision(args.change.resolve()),
-        "seed": args.seed,
-        "calls": args.calls,
-        "repeats": args.repeats,
+        "seed": SEED,
+        "calls": CALLS,
+        "repeats": REPEATS,
         "unit": "us per call, min over repeats of the mean of calls",
         "workloads": {},
     }
@@ -132,7 +131,7 @@ def main(argv=None) -> int:
         packages = {label: load_tree(tree.resolve(), f"eaudeqn_{label}", Path(tmp))
                     for label, tree in (("base", args.base), ("change", args.change))}
         for name, workload in WORKLOADS.items():
-            overrides = workload.config_overrides(seed=args.seed)
+            overrides = workload.config_overrides(seed=SEED)
             trees = {}
             for label, pkg in packages.items():
                 modules = {m: importlib.import_module(f"{pkg.__name__}.{m}")
@@ -140,7 +139,7 @@ def main(argv=None) -> int:
                 config = modules["config"].build_config(overrides)
                 _, state = modules["training"].run_training(config, until_step=config.warmup + 200)
                 trees[label] = {"modules": modules, "config": config, "state": state}
-            result["workloads"][name] = time_kernels(trees, args.calls, args.repeats)
+            result["workloads"][name] = time_kernels(trees)
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for name, kernels in result["workloads"].items():
         print(name)

@@ -20,14 +20,13 @@ passes. Adam, the mask multiply and copies are each one array operation on
 the whole buffer.
 
 The kernels return new parameter/state values and never mutate their inputs.
-td_loss_and_grad and adam_step take an optional Workspace: the scratch arrays
-of one (layout, stack rows, batch) shape, filled with `out=` instead of
-allocated per call. It holds the effective weights, each layer's activations
-and activation derivatives (which the reverse pass overwrites with its deltas
-and dz), the output gradient, the unmasked parameter gradient and Adam's two
-temporaries. Nothing a kernel returns aliases a workspace: gradients, new
-parameters and moments are fresh arrays. Without one a kernel builds a
-throwaway workspace, so there is one code path. A Frozen network holds the
+td_loss_and_grad takes an optional Workspace: the scratch arrays of one
+(layout, stack rows, batch) shape, filled with `out=` instead of allocated per
+call. It holds the effective weights, each layer's activations and activation
+derivatives (which the reverse pass overwrites with its deltas and dz), the
+output gradient and the unmasked parameter gradient. Nothing the kernel
+returns aliases a workspace: the loss and gradient are fresh arrays. Without
+one it builds a throwaway workspace, so there is one code path. A Frozen network holds the
 effective weights of a network that many forward passes read unchanged (the
 shared DQN target between target updates).
 """
@@ -271,14 +270,26 @@ def forward(params: NetworkParams, mask: "Mask", x) -> np.ndarray:
     """
     a = np.asarray(x, dtype=np.float64)
     _check_input(params, mask, a)
-    for layer in _layers(params, mask):
-        a = _layer(a, *layer)
+    lay, flat = params.layout, params.flat
+    effective = flat[..., : lay.n_weights] * mask.flat  # one multiply over the weight prefix
+    stacked = flat.ndim == 2
+    for w, shape, b, spec in zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices, params.layer_specs):
+        if stacked:  # in place: a broadcast add of the (K, out) biases into a new array costs more
+            a = a @ effective[:, w].reshape((len(flat), *shape)).swapaxes(-1, -2)
+            a += flat[:, None, b]
+        else:
+            a = a @ effective[w].reshape(shape).T
+            a += flat[b]
+        if spec.activation == "relu":
+            a = np.maximum(a, 0.0)
+        elif spec.activation == "tanh":
+            a = np.tanh(a)
     return a
 
 
 def _layers(params: NetworkParams, mask: "Mask") -> list[tuple[np.ndarray, np.ndarray, str]]:
-    """Per layer: the transposed effective weights (views into one fresh
-    buffer, w * mask made with one multiply), the biases (views of the
+    """Per layer, for Frozen: the transposed effective weights (views into one
+    fresh buffer, w * mask made with one multiply), the biases (views of the
     network's buffer, shaped to broadcast over a stack's batch rows) and the
     activation."""
     lay, flat = params.layout, params.flat
@@ -292,8 +303,8 @@ def _layers(params: NetworkParams, mask: "Mask") -> list[tuple[np.ndarray, np.nd
 
 
 class Frozen:
-    """A network made ready for many forward passes: its layers as forward
-    builds them on every call (see _layers). Calling it maps inputs exactly as
+    """A network made ready for many forward passes: its transposed effective
+    weights, built once (see _layers). Calling it maps inputs exactly as
     forward(params, mask, x) does, without redoing that work (the shared DQN
     target, frozen once per target update).
 
@@ -317,23 +328,22 @@ class Frozen:
 
 
 class Workspace:
-    """Scratch arrays for the TD pass and Adam step of one network or stack.
+    """Scratch arrays for the TD pass of one network or stack.
 
     Shaped on first use for a (layout, stack rows, batch), and reshaped only
     if that changes. It holds the effective weights w * mask (one buffer and
     its per-layer views); per layer, the activations (the pre-activations
     first, activated in place, and in the reverse pass the delta w.r.t. them)
     and the activation's derivative (computed in the forward pass, and in the
-    reverse pass the dz it multiplies into); the output gradient `dout`; the
-    parameter gradient before it is masked into a fresh buffer; and Adam's two
-    scratch buffers. The kernels fill them with `out=`, and nothing they return
-    aliases a workspace, so a run keeps one per concurrent pass and reuses it
-    every step. A kernel given none builds a throwaway one.
+    reverse pass the dz it multiplies into); the output gradient `dout`; and
+    the parameter gradient before it is masked into a fresh buffer. The
+    kernels fill them with `out=`, and nothing they return aliases a
+    workspace, so a run keeps one per concurrent pass and reuses it every
+    step. A kernel given none builds a throwaway one.
     """
 
     def __init__(self):
         self.key = None
-        self._adam = None
 
     def fit(self, params: NetworkParams, batch: int) -> "Workspace":
         key = (params.layout, params.flat.shape[:-1], batch)
@@ -363,12 +373,6 @@ class Workspace:
                 flat[..., sl] for sl in lay.bias_slices
             ]
         return self._grad
-
-    def adam(self, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Adam's two scratch buffers, of a parameter buffer's shape."""
-        if self._adam is None or self._adam[0].shape != shape:
-            self._adam = (np.empty(shape), np.empty(shape))
-        return self._adam
 
 
 def _forward_cache(params: NetworkParams, mask: "Mask", x: np.ndarray, workspace: Workspace | None = None) -> Workspace:
@@ -520,16 +524,14 @@ def init_adam_state(
 
 
 def adam_step(
-    params: NetworkParams, grad: NetworkParams, state: AdamState, workspace: Workspace | None = None
+    params: NetworkParams, grad: NetworkParams, state: AdamState
 ) -> tuple[NetworkParams, AdamState]:
     """One bias-corrected Adam update: p -= lr * m_hat / (sqrt(v_hat) + eps).
 
     Positions whose gradient is zero with zero accumulated moments (all
     masked-out weights under a fresh optimizer) are left bit-identical. The
     whole buffer, or a stack's, is updated at once, each row with its own
-    step count. The new parameters and moments are fresh arrays; the
-    temporaries go into `workspace`'s two Adam buffers (throwaway ones when
-    None).
+    step count.
     """
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
@@ -544,21 +546,20 @@ def adam_step(
         bc1 = np.array([[1.0 - b1**s] for s in steps])
         bc2 = np.array([[1.0 - b2**s] for s in steps])
     g = grad.flat
-    scratch, den = (Workspace() if workspace is None else workspace).adam(g.shape)
     # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g^2, each into a
     # fresh array; the operand order differs from the formula only where IEEE
     # arithmetic commutes
     m = np.multiply(state.m.flat, b1)
-    m += np.multiply(g, 1.0 - b1, out=scratch)
+    m += (1.0 - b1) * g
     v = np.multiply(g, g)
     v *= 1.0 - b2
-    v += np.multiply(state.v.flat, b2, out=scratch)
+    v += b2 * state.v.flat
     if uniform and bc1 == 1.0:  # b1**t has fallen below 2**-53, and m / 1.0 is m
         step = np.multiply(m, state.learning_rate)
     else:
         step = np.divide(m, bc1)
         step *= state.learning_rate
-    np.divide(v, bc2, out=den)
+    den = np.divide(v, bc2)
     np.sqrt(den, out=den)
     den += state.epsilon
     step /= den

@@ -270,12 +270,12 @@ def member_gradient_step(
     weights are re-zeroed at masked positions so the member invariant
     (params exactly zero where masked) holds even when stale optimizer
     moments exist from before a mask change. A stack takes the step on every
-    row at once and returns a (K,) loss. `workspace` holds the kernels'
+    row at once and returns a (K,) loss. `workspace` holds the TD pass's
     scratch arrays (see nncore.Workspace); the updated member shares none.
     """
     loss, grad = td_loss_and_grad(member.params, member.mask, inputs, action_indices, targets, workspace)
     check_finite_loss(loss, member)
-    new_params, new_opt = adam_step(member.params, grad, member.optimizer, workspace)
+    new_params, new_opt = adam_step(member.params, grad, member.optimizer)
     new_params.flat[..., : new_params.layout.n_weights] *= member.mask.flat  # Adam's output is fresh
     updated = evolve(member, params=new_params, optimizer=new_opt, cumulated_loss=member.cumulated_loss + loss)
     return updated, loss

@@ -58,7 +58,7 @@ def _buffers(stack):
 
 
 def _workspace_arrays(ws):
-    arrays = [ws.effective, ws.dout, *ws.outputs, *ws.finite, ws.grad()[0], *ws.adam(ws.grad()[0].shape)]
+    arrays = [ws.effective, ws.dout, *ws.outputs, *ws.finite, ws.grad()[0]]
     return arrays + [d for d in ws.derivs if d is not None]
 
 
