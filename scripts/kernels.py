@@ -2,8 +2,9 @@
 
     python3 scripts/kernels.py --base DIR --change DIR --out FILE
 
-Each tree's `src/eaudeqn` is imported under its own name, as ab_chunks.py
-does. For each perfbench workload, both trees train the workload's config from
+Each tree's `src/eaudeqn` is copied into a temporary directory and imported
+under its own name (`eaudeqn_base`, `eaudeqn_change`). For each perfbench
+workload, both trees train the workload's config from
 seed SEED to 200 steps past its replay warmup, so masks, Adam moments and the
 replay buffer are those of a run, and then time each kernel on that state at
 the shapes the run calls it with:
@@ -14,7 +15,13 @@ the shapes the run calls it with:
   (cart-pole: the shared target; pendulum: a critic's soft target);
 - `td_loss_and_grad` and `adam_step` on the population stack (pendulum: one
   critic side), `train_member` (cart-pole) or `train_critic_member`
-  (pendulum) on the same stack.
+  (pendulum) on the same stack;
+- pendulum only, on the same critic side: `magnitude_mask` of the whole stack
+  at its members' own targets (a prune event masks only the duplicates'
+  rows), `exploration` of a fixed selection with two duplicates, and
+  `selection_event` around the lowest-loss member, at the trained step with
+  the next prune event as the horizon. Their draws come from one stream per
+  tree, so both trees draw the same values.
 
 A tree whose TD pass takes a workspace (`nncore.Workspace`) is timed with one
 kept across calls, as a run keeps it. Each figure is the minimum over REPEATS
@@ -30,16 +37,24 @@ import importlib
 import json
 import os
 import platform
+import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from ab_chunks import ORDERS, load_tree
 from pairs import revision
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED, CALLS, REPEATS = 11, 300, 7
+ORDERS = (("base", "change"), ("change", "base"))  # repeat i runs ORDERS[i % 2]
+MODULES = ("config", "training", "nncore", "dqn", "sac", "rng", "population", "pruning")
+
+
+def load_tree(tree: Path, name: str, tmp: Path):
+    """Import tree/src/eaudeqn as package `name` from a copy in tmp."""
+    shutil.copytree(tree / "src" / "eaudeqn", tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
 
 
 def kernel_calls(tree: dict) -> dict:
@@ -71,6 +86,11 @@ def kernel_calls(tree: dict) -> dict:
     obs = state.obs[None, :]
     grad = nncore.td_loss_and_grad(stack.params, stack.mask, inputs, zeros, targets)[1]
     critic = "4-48-48-1"
+    population, rng = mod["population"], mod["rng"].RngStream(config.seed, "kernels/selection")
+    cfg, t = config.eaude, state.step
+    t_next = min(t + config.prune_period, cfg.t_final)
+    champion = population.select_target(side.losses())
+    selection = [0, 0, 1, 1, 2]  # slots 1 and 3 are duplicates
     return {
         "forward/act": ("1 x 3-48-48-2 (actor)", lambda: nncore.forward(policy.params, policy.mask, obs)),
         "forward/target": (f"{n} x {critic}", lambda: nncore.forward(target.params, target.mask, inputs)),
@@ -79,6 +99,12 @@ def kernel_calls(tree: dict) -> dict:
         "adam_step": (f"K={side.k}, {critic}", lambda: nncore.adam_step(stack.params, grad, stack.optimizer)),
         "train_critic_member": (f"K={side.k}, {n} x {critic}",
                                 lambda: sac.train_critic_member(stack, inputs, targets, config.tau, *ws)),
+        "magnitude_mask": (f"K={side.k}, {critic}",
+                           lambda: mod["pruning"].magnitude_mask(stack.params, stack.mask_target)),
+        "exploration": (f"K={side.k}, {critic}, 2 duplicates",
+                        lambda: population.exploration(side, selection, t, t_next, cfg, rng)),
+        "selection_event": (f"K={side.k}, {critic}",
+                            lambda: population.selection_event(side, champion, t, t_next, cfg, rng)),
     }
 
 
@@ -134,8 +160,7 @@ def main(argv=None) -> int:
             overrides = workload.config_overrides(seed=SEED)
             trees = {}
             for label, pkg in packages.items():
-                modules = {m: importlib.import_module(f"{pkg.__name__}.{m}")
-                           for m in ("config", "training", "nncore", "dqn", "sac", "rng")}
+                modules = {m: importlib.import_module(f"{pkg.__name__}.{m}") for m in MODULES}
                 config = modules["config"].build_config(overrides)
                 _, state = modules["training"].run_training(config, until_step=config.warmup + 200)
                 trees[label] = {"modules": modules, "config": config, "state": state}

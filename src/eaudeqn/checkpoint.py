@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import build_config, canonical_text, config_digest, network_widths, parse_config_text
 from .errors import CheckpointError, ConfigError, DataFormatError
-from .nncore import AdamState, LayerSpec, Layout, NetworkParams, mlp_layer_specs, spec_layout
+from .nncore import AdamState, Frozen, LayerSpec, Layout, NetworkParams, mlp_layer_specs, spec_layout
 from .population import Member, Population
 from .pruning import Mask, mask_of_ones, sparsity_of
 from .replay import ReplayBuffer
@@ -260,7 +260,8 @@ def decode_payload(blob: bytes) -> dict:
 # every entry against the config before any state is returned: a missing or
 # unknown entry, or a value of the wrong type, dtype or shape, is a
 # CheckpointError, never a KeyError or a TypeError. Each population is then
-# built around copies of its stored arrays (Population.of), not restacked.
+# built around copies of its stored arrays, not restacked, and its shared
+# target is frozen.
 
 _NUMBERS = {int: (int, np.integer), float: (float, int, np.floating, np.integer)}
 # a payload holds the state's fields but obs, with the config as its text and digest
@@ -418,9 +419,11 @@ class _Net(NamedTuple):
             mask_target=mask_target,
             target_params=None if soft is None else self.params(soft, (k,), f"{where}.soft_targets"),
         )
-        target = None if target is None else self.params(target, (), f"{where}.target_params")
-        target_mask = None if target_mask is None else self.mask(target_mask, (), f"{where}.target_mask")
-        return Population.of(stack, target, target_mask, champion, next_id)
+        if target is not None:
+            target = Frozen(
+                self.params(target, (), f"{where}.target_params"), self.mask(target_mask, (), f"{where}.target_mask")
+            )
+        return Population(stack, target, champion, next_id)
 
 
 def state_to_payload(state: TrainState) -> dict:

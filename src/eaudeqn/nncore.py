@@ -13,11 +13,13 @@ views into the buffer, built on first use.
 The same containers and kernels also hold a stack of K networks of one shape:
 the buffer is then (K, P), a mask's (K, W), the layer views carry the leading
 (K,) axis, and Adam keeps one step count per network as a (K,) array.
-forward, td_loss_and_grad, backprop_from_output and adam_step run all K at
-once with batched matmuls over a shared input batch; each row gives exactly
-the bits its network alone would give, so a stacked pass equals K separate
-passes. Adam, the mask multiply and copies are each one array operation on
-the whole buffer.
+td_loss_and_grad, backprop_from_output and adam_step run all K at once with
+batched matmuls over a shared input batch; each row gives exactly the bits
+its network alone would give, so a stacked pass equals K separate passes.
+Adam, the mask multiply and copies are each one array operation on the whole
+buffer. forward and Frozen take one network: every network a run only maps
+inputs through (an acting row, the actor, a critic's soft target, the shared
+DQN target) is a single one.
 
 The kernels return new parameter/state values and never mutate their inputs.
 td_loss_and_grad takes an optional Workspace: the scratch arrays of one
@@ -27,8 +29,9 @@ derivatives (which the reverse pass overwrites with its deltas and dz), the
 output gradient and the unmasked parameter gradient. Nothing the kernel
 returns aliases a workspace: the loss and gradient are fresh arrays. Without
 one it builds a throwaway workspace, so there is one code path. A Frozen network holds the
-effective weights of a network that many forward passes read unchanged (the
-shared DQN target between target updates).
+effective weights of one network that many forward passes read unchanged (the
+shared DQN target between target updates), beside the params and mask it was
+built from.
 """
 
 from __future__ import annotations
@@ -235,8 +238,6 @@ def check_mask(params: NetworkParams, mask: "Mask") -> None:
 
 def _check_input(params: NetworkParams, mask: "Mask", x: np.ndarray) -> None:
     """Refuse an input the network cannot take, or a mask that does not fit it."""
-    if x.ndim < 2 and params.flat.ndim == 2:
-        raise ConfigError("a stack of networks takes a batch of inputs, not a single vector")
     if x.shape[-1] != params.layer_specs[0].input_width:
         raise ConfigError(
             f"input width {x.shape[-1]} != network input width {params.layer_specs[0].input_width}"
@@ -250,10 +251,9 @@ def _all_finite(a: np.ndarray, flags: np.ndarray | None = None) -> bool:
 
 
 def _layer(a: np.ndarray, w_t: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
-    """activation(a @ w_t + b) in a fresh array. A stack's (K, 1, out) biases
-    broadcast over the batch rows."""
+    """activation(a @ w_t + b) in a fresh array."""
     z = a @ w_t
-    z += b  # in place: a broadcast add into a new (K, batch, out) array costs more
+    z += b
     if activation == "relu":
         np.maximum(z, 0.0, out=z)
     elif activation == "tanh":
@@ -262,24 +262,22 @@ def _layer(a: np.ndarray, w_t: np.ndarray, b: np.ndarray, activation: str) -> np
 
 
 def forward(params: NetworkParams, mask: "Mask", x) -> np.ndarray:
-    """Network output with effective weights w * mask. Biases are never masked.
+    """One network's output with effective weights w * mask. Biases are never
+    masked.
 
-    Accepts a single input vector or a batch (rows are samples). A stack takes
-    a batch only: it maps the batch through each of its K networks and
-    returns (K, batch, out).
+    Accepts a single input vector or a batch (rows are samples). A stack is
+    refused: a run maps inputs through single networks only, and trains a
+    stack through td_loss_and_grad.
     """
+    if params.flat.ndim != 1:
+        raise ConfigError(f"forward takes one network, got a stack of {len(params.flat)}")
     a = np.asarray(x, dtype=np.float64)
     _check_input(params, mask, a)
     lay, flat = params.layout, params.flat
-    effective = flat[..., : lay.n_weights] * mask.flat  # one multiply over the weight prefix
-    stacked = flat.ndim == 2
+    effective = flat[: lay.n_weights] * mask.flat  # one multiply over the weight prefix
     for w, shape, b, spec in zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices, params.layer_specs):
-        if stacked:  # in place: a broadcast add of the (K, out) biases into a new array costs more
-            a = a @ effective[:, w].reshape((len(flat), *shape)).swapaxes(-1, -2)
-            a += flat[:, None, b]
-        else:
-            a = a @ effective[w].reshape(shape).T
-            a += flat[b]
+        a = a @ effective[w].reshape(shape).T
+        a += flat[b]
         if spec.activation == "relu":
             a = np.maximum(a, 0.0)
         elif spec.activation == "tanh":
@@ -287,36 +285,31 @@ def forward(params: NetworkParams, mask: "Mask", x) -> np.ndarray:
     return a
 
 
-def _layers(params: NetworkParams, mask: "Mask") -> list[tuple[np.ndarray, np.ndarray, str]]:
-    """Per layer, for Frozen: the transposed effective weights (views into one
-    fresh buffer, w * mask made with one multiply), the biases (views of the
-    network's buffer, shaped to broadcast over a stack's batch rows) and the
-    activation."""
-    lay, flat = params.layout, params.flat
-    effective = flat[..., : lay.n_weights] * mask.flat
-    lead = flat.shape[:-1]
-    return [
-        (effective[..., w].reshape(lead + shape).swapaxes(-1, -2), flat[:, None, b] if lead else flat[b],
-         spec.activation)
-        for w, shape, b, spec in zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices, params.layer_specs)
-    ]
-
-
 class Frozen:
-    """A network made ready for many forward passes: its transposed effective
-    weights, built once (see _layers). Calling it maps inputs exactly as
-    forward(params, mask, x) does, without redoing that work (the shared DQN
-    target, frozen once per target update).
+    """One network made ready for many forward passes: per layer, its
+    transposed effective weights (views into one buffer, w * mask made with
+    one multiply), its biases and its activation, built once. Calling it maps
+    inputs exactly as forward(params, mask, x) does, without redoing that
+    work (the shared DQN target, frozen once per target update). It keeps the
+    params and mask it was built from.
 
     The biases are views of the network's buffer: freeze a network that is
     replaced, not written in place, while the frozen copy is in use.
     """
 
-    __slots__ = ("layers", "input_width")
+    __slots__ = ("params", "mask", "layers", "input_width")
 
     def __init__(self, params: NetworkParams, mask: "Mask"):
+        if params.flat.ndim != 1:
+            raise ConfigError(f"Frozen takes one network, got a stack of {len(params.flat)}")
         check_mask(params, mask)
-        self.layers = _layers(params, mask)
+        self.params, self.mask = params, mask
+        lay, flat = params.layout, params.flat
+        effective = flat[: lay.n_weights] * mask.flat
+        self.layers = [
+            (effective[w].reshape(shape).T, flat[b], spec.activation)
+            for w, shape, b, spec in zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices, params.layer_specs)
+        ]
         self.input_width = params.layer_specs[0].input_width
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

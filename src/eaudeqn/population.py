@@ -3,11 +3,15 @@
 A Member is one online network: parameters, binary mask, optimizer state,
 cumulated loss, sparsity, and a lineage id. A Member can also hold K networks
 stacked along a leading axis (see nncore); its per-member scalars are then
-(K,) arrays. A Population keeps its K members that way, as one stacked
-Member, plus the shared target snapshot and the champion index, so a
-gradient pass over the population is one batched forward/backward and one
-Adam step. Population.members reads the stack as a list of per-row Member
-views: their arrays are views into the stack, their scalars are copies.
+(K,) arrays. A Population is its K members held that way, as one stacked
+Member, plus its frozen shared target (nncore.Frozen, which keeps the target's
+params and mask; None on a critic side, whose members each hold a soft
+target), the champion index and the next lineage id. So a gradient pass over
+the population is one batched forward/backward and one Adam step, and a
+population is built, restored and replaced as its stack: set-up draws the K
+networks into one buffer, and nothing stacks per-member records on a run's
+path. Population.members reads the stack as a list of per-row Member views:
+their arrays are views into the stack, their scalars are copies.
 
 Selection happens in two phases at every selection event (selection_event):
 
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -145,57 +149,44 @@ def concat_stacks(stacks: list[Member]) -> Member:
 
 @dataclass(init=False)
 class Population:
-    """K members stacked into one Member, the shared target snapshot, and the
-    champion index. The constructor is the one way per-member rows become a
-    stack (set-up and replace(population, members=...)); stack_row and
-    members read them back. Population.of takes a stack as it is (restore,
-    exploration)."""
+    """K members stacked into one Member, the shared target frozen for
+    td_targets (None on a critic side), the champion index and the next
+    lineage id. A target is replaced, never written in place: a new one is
+    frozen where it is assigned (set-up, target updates, restore)."""
 
-    stack: Member = field(init=False)
-    target_params: NetworkParams | None
-    target_mask: Mask | None
+    stack: Member
+    target: Frozen | None
     champion_index: int
     next_lineage_id: int
 
     def __init__(
         self,
-        members: list[Member],
-        target_params: NetworkParams | None = None,
-        target_mask: Mask | None = None,
-        champion_index: int = 0,
-        next_lineage_id: int = 0,
+        stack: Member,
+        target: Frozen | None,
+        champion_index: int,
+        next_lineage_id: int,
+        *,
+        members: list[Member] | None = None,
     ):
-        """Stack `members`. dataclasses.replace(population, members=...)
-        restacks; the stack itself is not an init field."""
-        self.stack = stack_members(members)
-        self.target_params = target_params
-        self.target_mask = target_mask
+        """The population around `stack` as it is (not copied). Given
+        `members`, the stack is instead their stack_members copy in row
+        order: dataclasses.replace(population, members=rows) puts a
+        population taken apart by rows back together (perfbench's checker
+        tests break one member that way)."""
+        self.stack = stack if members is None else stack_members(members)
+        self.target = target
         self.champion_index = champion_index
         self.next_lineage_id = next_lineage_id
 
-    @classmethod
-    def of(cls, stack: Member, target_params, target_mask, champion_index: int, next_lineage_id: int) -> Population:
-        """The population around `stack` as it is: not copied, not restacked."""
-        population = object.__new__(cls)
-        population.stack, population.target_params, population.target_mask = stack, target_params, target_mask
-        population.champion_index, population.next_lineage_id = champion_index, next_lineage_id
-        return population
-
-    def __setattr__(self, name, value):
-        if name in ("target_params", "target_mask"):  # a new target: refreeze on next use
-            self.__dict__["_frozen_target"] = None
-        object.__setattr__(self, name, value)
+    @property
+    def target_params(self) -> NetworkParams | None:
+        """The shared target's params (None on a critic side)."""
+        return None if self.target is None else self.target.params
 
     @property
-    def target(self) -> Frozen:
-        """The shared target, target_params under target_mask, frozen for
-        td_targets (see nncore.Frozen): built on first use after either is
-        assigned, so once per target update and once after a restore. A
-        target is replaced, never written in place."""
-        frozen = self.__dict__.get("_frozen_target")
-        if frozen is None:
-            frozen = self._frozen_target = Frozen(self.target_params, self.target_mask)
-        return frozen
+    def target_mask(self) -> Mask | None:
+        """The shared target's mask (None on a critic side)."""
+        return None if self.target is None else self.target.mask
 
     @property
     def k(self) -> int:
@@ -396,7 +387,7 @@ def exploration(
     records = [
         ExplorationRecord(k, s, k in rows, sparsity[k], sources[s], lineage[k]) for k, s in enumerate(selection)
     ]
-    return Population.of(stack, population.target_params, population.target_mask, 0, first_id + len(rows)), records
+    return Population(stack, population.target, 0, first_id + len(rows)), records
 
 
 def selection_event(

@@ -36,11 +36,11 @@ from .config import ExperimentConfig, config_digest, network_widths, validate_co
 from .dqn import act_epsilon_greedy, distillqn_update, epsilon_at, td_targets, train_member
 from .envs import Transition, make_env
 from .errors import CheckpointError, ConfigError, NonFiniteError
-from .nncore import Workspace, init_adam_state, init_network, mlp_layer_specs
+from .nncore import Frozen, NetworkParams, Workspace, init_adam_state, init_network, mlp_layer_specs
 from .population import (
+    Member,
     Population,
     concat_stacks,
-    fresh_member,
     member_digest,
     sample_behavior_index,
     select_target,
@@ -151,28 +151,32 @@ def init_state(config: ExperimentConfig) -> TrainState:
 
 
 def _fresh_population(config: ExperimentConfig, widths, label: str, soft_targets: bool) -> Population:
-    """K freshly initialized members, member j drawn from stream
-    "<label>/<j>/init". With soft_targets every member gets its own soft
-    target (critics); otherwise the population holds one shared target, a
-    copy of member 0."""
+    """K freshly initialized networks as one stack, network j drawn from
+    stream "<label>/<j>/init", each dense, with a fresh optimizer and lineage
+    j. With soft_targets every member gets its own soft target, a copy of its
+    network (critics); otherwise the population holds one shared target, a
+    frozen copy of network 0."""
     specs = mlp_layer_specs(widths)
-    members = []
-    for j in range(config.population_size):
-        params = init_network(specs, RngStream(config.seed, f"{label}/{j}/init"))
-        if j == 0:  # stacking copies it into every row
-            opt = init_adam_state(params, config.learning_rate, config.adam_epsilon)
-        members.append(fresh_member(params, opt, lineage_id=j))
-    pop = Population(members, champion_index=0, next_lineage_id=config.population_size)
-    stack = pop.stack
-    if soft_targets:
-        # Soft targets start as copies of the stacked critics. Built here
-        # instead of per member, the set-up's transient copies stay small
-        # enough to reuse freed memory (per-member targets and optimizers
-        # cost ~140 fresh pages, about 1 ms, per call on pendulum).
-        pop.stack = replace(stack, target_params=stack.params.copy())
-    else:
-        pop.target_params, pop.target_mask = stack.params.row(0).copy(), stack.mask.row(0).copy()
-    return pop
+    k = config.population_size
+    params = NetworkParams.of(
+        np.stack([init_network(specs, RngStream(config.seed, f"{label}/{j}/init")).flat for j in range(k)]), specs
+    )
+    mask = mask_of_ones(params)
+    optimizer = replace(
+        init_adam_state(params, config.learning_rate, config.adam_epsilon), step_count=np.zeros(k, dtype=np.int64)
+    )
+    stack = Member(
+        params=params,
+        mask=mask,
+        optimizer=optimizer,
+        cumulated_loss=np.zeros(k),
+        sparsity=np.zeros(k),
+        lineage_id=np.arange(k),
+        mask_target=np.zeros(k),
+        target_params=params.copy() if soft_targets else None,
+    )
+    target = None if soft_targets else Frozen(params.row(0).copy(), mask.row(0).copy())
+    return Population(stack, target, 0, k)
 
 
 def evaluate_policy(agent, env, episodes: int, rng: RngStream) -> float:
@@ -373,8 +377,7 @@ class _ValueBased:
         is_eaude = config.eaude is not None
         psi = select_target(pop.losses()) if is_eaude else 0
         champion = pop.network(psi)
-        pop.target_params = champion.params.copy()
-        pop.target_mask = champion.mask.copy()
+        pop.target = Frozen(champion.params.copy(), champion.mask.copy())
         state.logged_champion = psi
         log.events.append(
             {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eaudeqn.errors import ConfigError, NonFiniteError
-from eaudeqn.nncore import init_adam_state, init_network, mlp_layer_specs, params_equal
+from eaudeqn.nncore import Frozen, init_adam_state, init_network, mlp_layer_specs, params_equal
 from eaudeqn.population import (
     Population,
     behavior_distribution,
@@ -38,14 +38,8 @@ def make_population(k, seed=0, with_target=False):
         params = init_network(mlp_layer_specs([4, 6, 2]), RngStream(seed, f"member/{i}/init"))
         opt = init_adam_state(params, 1e-3, 1e-8)
         members.append(fresh_member(params, opt, lineage_id=i, with_target=with_target))
-    champion = members[0]
-    return Population(
-        members=members,
-        target_params=champion.params.copy(),
-        target_mask=champion.mask.copy(),
-        champion_index=0,
-        next_lineage_id=k,
-    )
+    target = None if with_target else Frozen(members[0].params.copy(), members[0].mask.copy())
+    return Population(stack_members(members), target, 0, k)
 
 
 CFG = EauDeConfig(u_max=3.0, s_max=0.01, population_size=5, tournament_size=3, t_final=1000)

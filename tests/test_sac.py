@@ -13,7 +13,7 @@ from eaudeqn.nncore import (
     params_equal,
     zeros_like_params,
 )
-from eaudeqn.population import Population, fresh_member
+from eaudeqn.population import Population, fresh_member, stack_members
 from eaudeqn.pruning import EauDeConfig, mask_of_ones
 from eaudeqn.replay import Batch
 from eaudeqn.rng import RngStream
@@ -76,7 +76,7 @@ def make_twin(k=1, constant=None):
     sides = []
     for i in range(2):
         members = [make_critic_member(seed=10 * i + j, constant=constant) for j in range(k)]
-        sides.append(Population(members, None, None, champion_index=0, next_lineage_id=k))
+        sides.append(Population(stack_members(members), None, 0, k))
     return TwinCriticPopulation((sides[0], sides[1]))
 
 

@@ -1,8 +1,9 @@
-"""A population's stacked pass against K separate per-member passes.
+"""A population's stack against K separate per-member records.
 
 One stacked gradient step (td_loss_and_grad, adam_step, the mask multiply
 and, for critics, the soft update) must give every row exactly the bits its
-member gets alone, whatever the members' masks and optimizer ages.
+member gets alone, whatever the members' masks and optimizer ages; and a
+fresh population, drawn as a stack, must be the stack of K fresh members.
 """
 
 from dataclasses import replace
@@ -11,9 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eaudeqn.config import build_config, network_widths
 from eaudeqn.dqn import distillqn_update
 from eaudeqn.errors import ConfigError
-from eaudeqn.nncore import NetworkParams, forward, init_adam_state, init_network, mlp_layer_specs, params_equal
+from eaudeqn.nncore import (
+    Frozen,
+    NetworkParams,
+    forward,
+    init_adam_state,
+    init_network,
+    mlp_layer_specs,
+    params_equal,
+)
 from eaudeqn.population import (
     Population,
     concat_stacks,
@@ -27,6 +37,7 @@ from eaudeqn.population import (
 from eaudeqn.pruning import PolyPruneConfig, magnitude_mask, masks_equal, sparsity_of
 from eaudeqn.rng import RngStream
 from eaudeqn.sac import train_critic_member
+from eaudeqn.training import _fresh_population
 
 TAU = 0.005
 
@@ -98,7 +109,7 @@ def test_one_stacked_pass_equals_k_member_passes(seed, hidden, obs, critic, n_ac
 
 def test_members_are_views_and_replace_restacks():
     members = _draw_members(0, [3, 5, 2], [2, 0, 1], [0.0, 0.3, 0.6], critic=False)
-    pop = Population(members, None, None, champion_index=0, next_lineage_id=3)
+    pop = Population(stack_members(members), None, 0, 3)
     assert [m.optimizer.step_count for m in pop.members] == [2, 0, 1]
     view = pop.members[1]
     view.params.weights[0][0, 0] = 7.0  # arrays are views into the stack
@@ -107,18 +118,64 @@ def test_members_are_views_and_replace_restacks():
     assert swapped.k == 2 and [m.lineage_id for m in swapped.members] == [2, 0]
     assert member_digest(swapped.member(0)) == member_digest(members[2])
     assert pop.k == 3
+    assert replace(pop, champion_index=2).stack is pop.stack  # only rows restack
 
 
-def test_stacked_forward_maps_a_batch_and_refuses_a_single_vector():
-    members = _draw_members(1, [3, 5, 2], [1, 0, 2], [0.0, 0.6, 0.3], critic=False)
-    stack = stack_members(members)
+def test_forward_and_frozen_refuse_a_stack():
+    stack = stack_members(_draw_members(1, [3, 5, 2], [1, 0, 2], [0.0, 0.6, 0.3], critic=False))
     x = RngStream(1, "stack/forward").normal(size=(4, 3))
-    out = forward(stack.params, stack.mask, x)
-    assert out.shape == (3, 4, 2)
-    for k, member in enumerate(members):
-        assert np.array_equal(out[k], forward(member.params, member.mask, x))
-    with pytest.raises(ConfigError):
-        forward(stack.params, stack.mask, x[0])
+    for inputs in (x, x[0]):
+        with pytest.raises(ConfigError, match="one network"):
+            forward(stack.params, stack.mask, inputs)
+    with pytest.raises(ConfigError, match="one network"):
+        Frozen(stack.params, stack.mask)
+
+
+def _same_array(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "overrides, role, label",
+    [
+        ({"algorithm": "eaude_dqn", "env": "cartpole", "eaude.population": 4}, "q", "member"),
+        ({"algorithm": "dqn", "env": "chain"}, "q", "member"),
+        ({"algorithm": "eaude_sac", "env": "pendulum", "eaude.population": 3}, "critic", "critic/1/member"),
+    ],
+)
+def test_a_fresh_population_is_the_stack_of_fresh_members(overrides, role, label):
+    """Set-up draws the stack directly; it must hold the bits, dtypes and
+    shapes of K per-member records stacked, the reference."""
+    config = build_config({**overrides, "seed": 9})
+    widths, soft, k = network_widths(config)[role], role == "critic", config.population_size
+    pop = _fresh_population(config, widths, label, soft_targets=soft)
+
+    members = []
+    for j in range(k):
+        params = init_network(mlp_layer_specs(widths), RngStream(config.seed, f"{label}/{j}/init"))
+        if j == 0:
+            opt = init_adam_state(params, config.learning_rate, config.adam_epsilon)
+        members.append(fresh_member(params, opt, lineage_id=j, with_target=soft))
+    want = stack_members(members)
+
+    got = pop.stack
+    assert (pop.k, pop.champion_index, pop.next_lineage_id) == (k, 0, k)
+    pairs = [(got.params.flat, want.params.flat), (got.mask.flat, want.mask.flat),
+             (got.optimizer.m.flat, want.optimizer.m.flat), (got.optimizer.v.flat, want.optimizer.v.flat),
+             (got.optimizer.step_count, want.optimizer.step_count), (got.lineage_id, want.lineage_id),
+             (got.cumulated_loss, want.cumulated_loss), (got.sparsity, want.sparsity),
+             (got.mask_target, want.mask_target)]
+    if soft:
+        assert pop.target is None
+        pairs.append((got.target_params.flat, want.target_params.flat))
+    else:
+        assert got.target_params is None
+        pairs += [(pop.target_params.flat, members[0].params.flat), (pop.target_mask.flat, members[0].mask.flat)]
+    assert all(_same_array(a, b) for a, b in pairs)
+    assert got.optimizer.step_count.dtype == np.int64  # what a checkpoint stores and requires
+    hyper = [(o.learning_rate, o.epsilon, o.beta1, o.beta2) for o in (got.optimizer, want.optimizer)]
+    assert hyper[0] == hyper[1]
+    assert [member_digest(m) for m in pop.members] == [member_digest(stack_row(want, j)) for j in range(k)]
 
 
 @settings(max_examples=80, deadline=None)

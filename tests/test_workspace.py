@@ -15,7 +15,14 @@ from eaudeqn.checkpoint import load_checkpoint, save_checkpoint
 from eaudeqn.config import build_config, network_widths
 from eaudeqn.dqn import distillqn_update
 from eaudeqn.nncore import Workspace, forward, init_adam_state, init_network, mlp_layer_specs, td_loss_and_grad
-from eaudeqn.population import fresh_member, member_digest, member_gradient_step, stack_members, stack_row
+from eaudeqn.population import (
+    fresh_member,
+    member_digest,
+    member_gradient_step,
+    selection_event,
+    stack_members,
+    stack_row,
+)
 from eaudeqn.pruning import PolyPruneConfig
 from eaudeqn.rng import RngStream
 from eaudeqn.sac import train_critic_member
@@ -128,12 +135,12 @@ def test_the_frozen_target_follows_target_updates_prunes_and_resume(tmp_path):
 
     _, state = run_training(config, until_step=199)
     pop = state.population
-    before = pop.target(x)
+    target = pop.target
     assert _frozen_matches(pop, x)
 
     _, state = run_training(config, resume=state, until_step=200)  # a target update
-    assert state.population is pop and _frozen_matches(pop, x)
-    assert not np.array_equal(pop.target(x), before)
+    assert state.population is pop and pop.target is not target and _frozen_matches(pop, x)
+    assert not np.array_equal(pop.target(x), target(x))
 
     target = pop.target
     _, state = run_training(config, resume=state, until_step=300)  # a scheduled prune at 300, no target update
@@ -144,3 +151,17 @@ def test_the_frozen_target_follows_target_updates_prunes_and_resume(tmp_path):
     restored = load_checkpoint(tmp_path / "state.ckpt")
     assert _frozen_matches(restored.population, x)
     assert np.array_equal(restored.population.target(x), pop.target(x))
+
+    # eaude_dqn: each target update freezes a new target, which the selection
+    # event that follows it hands on as it is
+    config = build_config({
+        "algorithm": "eaude_dqn", "env": "chain", "seed": 5, "run.total_steps": 400, "run.target_period": 200,
+        "replay.warmup": 50, "eval.period": 400, "eaude.population": 3, "eaude.tournament": 2,
+    })
+    _, state = run_training(config, until_step=199)
+    target = state.population.target
+    _, state = run_training(config, resume=state, until_step=200)
+    pop = state.population
+    assert pop.target is not target and _frozen_matches(pop, x)
+    after, _ = selection_event(pop, 1, 200, 400, config.eaude, RngStream(5, "test/selection"))
+    assert after is not pop and after.target is pop.target
