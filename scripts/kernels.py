@@ -1,12 +1,13 @@
-"""Time the nncore kernels and the member steps of two source trees in one process.
+"""Time the nncore kernels and the member steps of two source trees, each in processes of its own.
 
     python3 scripts/kernels.py --base DIR --change DIR --out FILE
 
-Each tree's `src/eaudeqn` is copied into a temporary directory and imported
-under its own name (`eaudeqn_base`, `eaudeqn_change`). For each perfbench
-workload, both trees train the workload's config from
+Each of REPEATS repeats starts one fresh Python process per tree, the trees
+alternating which one's process runs first (the base first in the first
+repeat). A process imports its tree's `src/eaudeqn` (writing no bytecode into
+the tree) and, for each perfbench workload, trains the workload's config from
 seed SEED to 200 steps past its replay warmup, so masks, Adam moments and the
-replay buffer are those of a run, and then time each kernel on that state at
+replay buffer are those of a run, and then times each kernel on that state at
 the shapes the run calls it with:
 
 - `forward/act`: one observation through the acting network (cart-pole: the
@@ -23,11 +24,16 @@ the shapes the run calls it with:
   the next prune event as the horizon. Their draws come from one stream per
   tree, so both trees draw the same values.
 
+A process of its own keeps one tree's arrays out of the other's heap: with
+both trees timed in one process, the tree trained second read 0.77-0.86x on
+the K=5 kernels that allocate stack-sized arrays against a copy of itself.
+
 A tree whose TD pass takes a workspace (`nncore.Workspace`) is timed with one
-kept across calls, as a run keeps it. Each figure is the minimum over REPEATS
-repeats of the mean time of CALLS calls in µs, the trees alternating from
-repeat to repeat. Seed and counts are fixed so that every kernel file is
-measured the same way. FILE gets the figures as JSON; a table goes to stdout.
+kept across calls, as a run keeps it. A process times each kernel as the mean
+of CALLS calls after one untimed call, and each figure is the minimum over
+the REPEATS processes of its tree, in µs. Seed and counts are fixed so that
+every kernel file is measured the same way. FILE gets the figures as JSON,
+with the process layout under `layout`; a table goes to stdout.
 """
 
 from __future__ import annotations
@@ -37,9 +43,8 @@ import importlib
 import json
 import os
 import platform
-import shutil
+import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -49,17 +54,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED, CALLS, REPEATS = 11, 300, 7
 ORDERS = (("base", "change"), ("change", "base"))  # repeat i runs ORDERS[i % 2]
 MODULES = ("config", "training", "nncore", "dqn", "sac", "rng", "population", "pruning")
+LAYOUT = ("one fresh process per tree and repeat, which trains its own state and times every kernel once; "
+          "the tree whose process runs first alternates from repeat to repeat, the base first in the first")
 
 
-def load_tree(tree: Path, name: str, tmp: Path):
-    """Import tree/src/eaudeqn as package `name` from a copy in tmp."""
-    shutil.copytree(tree / "src" / "eaudeqn", tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
-    return importlib.import_module(name)
-
-
-def kernel_calls(tree: dict) -> dict:
-    """Kernel name -> (shape label, zero-argument call) on the tree's trained state."""
-    mod, state, config = tree["modules"], tree["state"], tree["config"]
+def kernel_calls(mod: dict, config, state) -> dict:
+    """Kernel name -> (shape label, zero-argument call) on a tree's trained state."""
     nncore = mod["nncore"]
     ws = (nncore.Workspace(),) if hasattr(nncore, "Workspace") else ()
     batch = state.buffer.sample_batch(config.batch_size, mod["rng"].RngStream(config.seed, "kernels"))
@@ -108,27 +108,54 @@ def kernel_calls(tree: dict) -> dict:
     }
 
 
+def measure(tree: str) -> dict:
+    """Run in a process of the tree's own: per workload and kernel, the shape
+    and the mean µs per call on the tree's trained state."""
+    tree = Path(tree)
+    sys.path.insert(0, str(tree / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    mod = {m: importlib.import_module(f"eaudeqn.{m}") for m in MODULES}
+    if Path(mod["config"].__file__).parent != tree / "src" / "eaudeqn":
+        raise SystemExit(f"imported {mod['config'].__file__}, not the tree's package")
+    out = {}
+    for name, workload in WORKLOADS.items():
+        config = mod["config"].build_config(workload.config_overrides(seed=SEED))
+        _, state = mod["training"].run_training(config, until_step=config.warmup + 200)
+        out[name] = {}
+        for kernel, (shape, fn) in kernel_calls(mod, config, state).items():
+            fn()  # the first call may shape a workspace
+            t0 = time.perf_counter()
+            for _ in range(CALLS):
+                fn()
+            out[name][kernel] = (shape, (time.perf_counter() - t0) / CALLS * 1e6)
+    return out
+
+
+def measure_in_own_process(tree: Path) -> dict:
+    """measure(tree) in a fresh interpreter that imports nothing from PYTHONPATH."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    code = "import json, sys, kernels; print(json.dumps(kernels.measure(sys.argv[1])))"
+    proc = subprocess.run([sys.executable, "-B", "-c", code, str(tree)], cwd=Path(__file__).parent, env=env,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def time_kernels(trees: dict) -> dict:
-    """Per kernel: the shape, and each tree's min-of-repeats mean µs per call."""
-    table = {label: kernel_calls(tree) for label, tree in trees.items()}
-    best = {label: dict.fromkeys(table[label], float("inf")) for label in trees}
+    """Per workload and kernel: the shape, and each tree's min-over-processes µs per call."""
+    runs = {label: [] for label in trees}
     for i in range(REPEATS):
         for label in ORDERS[i % 2]:
-            for name, (_, fn) in table[label].items():
-                fn()  # the first call may shape a workspace
-                t0 = time.perf_counter()
-                for _ in range(CALLS):
-                    fn()
-                best[label][name] = min(best[label][name], (time.perf_counter() - t0) / CALLS * 1e6)
-    return {
-        name: {
-            "shape": shape,
-            "base_us": round(best["base"][name], 2),
-            "change_us": round(best["change"][name], 2),
-            "ratio": round(best["base"][name] / best["change"][name], 3),
-        }
-        for name, (shape, _) in table["change"].items()
-    }
+            runs[label].append(measure_in_own_process(trees[label]))
+    out = {}
+    for workload, kernels in runs["change"][0].items():
+        out[workload] = {}
+        for kernel, (shape, _) in kernels.items():
+            base, change = (min(run[workload][kernel][1] for run in runs[label]) for label in ("base", "change"))
+            out[workload][kernel] = {"shape": shape, "base_us": round(base, 2), "change_us": round(change, 2),
+                                     "ratio": round(base / change, 3)}
+    return out
 
 
 def main(argv=None) -> int:
@@ -137,34 +164,19 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
-
+    trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     result = {
         "script": "python3 scripts/kernels.py",
         "host": f"{os.cpu_count()} CPUs, {platform.system()} {platform.machine()}, Python {platform.python_version()}",
-        "base": revision(args.base.resolve()),
-        "change": revision(args.change.resolve()),
+        "base": revision(trees["base"]),
+        "change": revision(trees["change"]),
         "seed": SEED,
         "calls": CALLS,
         "repeats": REPEATS,
-        "unit": "us per call, min over repeats of the mean of calls",
-        "workloads": {},
+        "layout": LAYOUT,
+        "unit": "us per call, min over a tree's processes of the mean of calls",
+        "workloads": time_kernels(trees),
     }
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        packages = {label: load_tree(tree.resolve(), f"eaudeqn_{label}", Path(tmp))
-                    for label, tree in (("base", args.base), ("change", args.change))}
-        for name, workload in WORKLOADS.items():
-            overrides = workload.config_overrides(seed=SEED)
-            trees = {}
-            for label, pkg in packages.items():
-                modules = {m: importlib.import_module(f"{pkg.__name__}.{m}") for m in MODULES}
-                config = modules["config"].build_config(overrides)
-                _, state = modules["training"].run_training(config, until_step=config.warmup + 200)
-                trees[label] = {"modules": modules, "config": config, "state": state}
-            result["workloads"][name] = time_kernels(trees)
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for name, kernels in result["workloads"].items():
         print(name)

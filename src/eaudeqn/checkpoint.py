@@ -1,9 +1,11 @@
 """Bit-exact checkpointing of a full training state.
 
 The file is an 8-byte magic that names the format version, then a tagged
-binary tree: ints are arbitrary-precision (PCG64 states are 128-bit), floats
-are raw IEEE doubles, and arrays are dtype + shape + raw bytes, so
-load(save(x)) reproduces x exactly. The config rides along as its
+binary tree of what a state payload holds: None, ints (arbitrary-precision:
+PCG64 states are 128-bit), floats (raw IEEE doubles), strings, lists, dicts
+with string keys, and float64, int64 or uint8 arrays (dtype + shape + raw
+bytes), so load(save(x)) reproduces x exactly. Any other type is refused on
+save, and any other tag or dtype on load. The config rides along as its
 canonical text plus digest; resuming against a different config is refused,
 and so is a state whose networks or replay rings do not fit that config.
 """
@@ -41,43 +43,47 @@ _MAGIC = b"EAUDECK6"
 # returned those pages to the system made save and load up to twice as slow.
 
 
+# the array dtypes a payload holds, keyed by the spelling a file stores
+_DTYPES = {np.dtype(t).str.encode("ascii"): np.dtype(t) for t in (np.float64, np.int64, np.uint8)}
+
+
 def _encode(obj, write) -> None:
-    """Append obj's encoding through write(bytes-like)."""
+    """Append obj's encoding through write(bytes-like). Types match exactly, so
+    a bool (an int) or a numpy scalar (np.float64 is a float) is refused with
+    everything else a payload never holds, not written as another type."""
+    kind = type(obj)
     if obj is None:
         write(b"N")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        write(b"B" + (b"\x01" if obj else b"\x00"))
-    elif isinstance(obj, (int, np.integer)):
-        value = int(obj)
-        raw = value.to_bytes((value.bit_length() + 8) // 8 or 1, "little", signed=True)
+    elif kind is int:
+        raw = obj.to_bytes((obj.bit_length() + 8) // 8 or 1, "little", signed=True)
         write(b"I" + struct.pack("<I", len(raw)) + raw)
-    elif isinstance(obj, (float, np.floating)):
-        write(b"F" + struct.pack("<d", float(obj)))
-    elif isinstance(obj, str):
+    elif kind is float:
+        write(b"F" + struct.pack("<d", obj))
+    elif kind is str:
         raw = obj.encode("utf-8")
         write(b"S" + struct.pack("<I", len(raw)) + raw)
-    elif isinstance(obj, (bytes, bytearray)):
-        write(b"Y" + struct.pack("<I", len(obj)) + bytes(obj))
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list:
         write(b"L" + struct.pack("<I", len(obj)))
         for item in obj:
             _encode(item, write)
-    elif isinstance(obj, dict):
+    elif kind is dict:
         write(b"D" + struct.pack("<I", len(obj)))
         for key, value in obj.items():
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise CheckpointError(f"dict keys must be strings, got {type(key).__name__}")
             _encode(key, write)
             _encode(value, write)
-    elif isinstance(obj, np.ndarray):
+    elif kind is np.ndarray:
+        dtype = obj.dtype.str.encode("ascii")
+        if dtype not in _DTYPES:
+            raise CheckpointError(f"cannot serialize a {obj.dtype} array")
         arr = obj if obj.flags.c_contiguous else obj.copy(order="C")  # ascontiguousarray makes 0-d 1-d
-        dtype = arr.dtype.str.encode("ascii")
         shape = struct.pack(f"<{arr.ndim}q", *arr.shape) if arr.ndim else b""
         write(b"A" + struct.pack("<I", len(dtype)) + dtype + struct.pack("<B", arr.ndim) + shape)
         write(struct.pack("<Q", arr.nbytes))
         write(arr.data)
     else:
-        raise CheckpointError(f"cannot serialize {type(obj).__name__}")
+        raise CheckpointError(f"cannot serialize {kind.__name__}")
 
 
 class _Reader:
@@ -140,14 +146,6 @@ def _decode(reader: _Reader, depth: int = 0):
     tag = reader.take(1, "type tag")
     if tag == b"N":
         return None
-    if tag == b"B":
-        start = reader.offset
-        byte = reader.take(1, "bool")
-        if byte not in (b"\x00", b"\x01"):
-            raise DataFormatError(
-                f"corrupted checkpoint: bool byte {byte[0]:#04x} at byte offset {start}", byte_offset=start
-            )
-        return byte == b"\x01"
     if tag == b"I":
         (n,) = reader.unpack("<I", "int length")
         start = reader.offset
@@ -169,9 +167,6 @@ def _decode(reader: _Reader, depth: int = 0):
             raise DataFormatError(
                 f"corrupted checkpoint: string that is not UTF-8 at byte offset {start}", byte_offset=start
             ) from None
-    if tag == b"Y":
-        (n,) = reader.unpack("<I", "bytes length")
-        return reader.take(n, "bytes payload")
     if tag == b"L":
         (n,) = reader.unpack("<I", "list length")
         return [_decode(reader, depth + 1) for _ in range(n)]
@@ -191,13 +186,10 @@ def _decode(reader: _Reader, depth: int = 0):
     if tag == b"A":
         (n,) = reader.unpack("<I", "dtype length")
         start = reader.offset
-        try:  # numpy parses some strings as Python code: a SyntaxError
-            dtype = np.dtype(reader.take(n, "dtype").decode("ascii"))
-        except (SyntaxError, TypeError, ValueError):  # UnicodeDecodeError is a ValueError
-            dtype = None
-        if dtype is None or dtype.kind not in "biufc":  # not objects, records, strings or times
+        dtype = _DTYPES.get(reader.take(n, "dtype"))
+        if dtype is None:
             raise DataFormatError(
-                f"corrupted checkpoint: not a numeric array dtype at byte offset {start}", byte_offset=start
+                f"corrupted checkpoint: not a float64, int64 or uint8 array at byte offset {start}", byte_offset=start
             )
         (ndim,) = reader.unpack("<B", "ndim")
         shape = reader.unpack(f"<{ndim}q", "shape") if ndim else ()
@@ -263,7 +255,7 @@ def decode_payload(blob: bytes) -> dict:
 # built around copies of its stored arrays, not restacked, and its shared
 # target is frozen.
 
-_NUMBERS = {int: (int, np.integer), float: (float, int, np.floating, np.integer)}
+_NUMBERS = {int: (int,), float: (float, int)}  # exact types: a bool is not a count
 # a payload holds the state's fields but obs, with the config as its text and digest
 _PAYLOAD_KEYS = frozenset(
     {f.name for f in dataclasses.fields(TrainState)} - {"config", "obs"} | {"config_text", "config_digest"}
@@ -332,7 +324,7 @@ def _list(value, where: str) -> list:
 
 def _number(hint, value, where: str):
     """value as an int or a float (hint), refusing any other type, bools too."""
-    if isinstance(value, bool) or not isinstance(value, _NUMBERS[hint]):
+    if type(value) not in _NUMBERS[hint]:
         raise CheckpointError(f"checkpoint {where}: expected {hint.__name__}, got {_kind(value)}")
     return hint(value)
 

@@ -1,11 +1,12 @@
 """Desk-scale environments with exact dynamics, plus tabular oracles.
 
 All environments are stateless objects: reset() returns an initial internal
-state, step() maps (state, action) to (next_state, reward, done), observe()
-turns a state into the network-facing observation, and contains() tells
-whether an array of reset()'s shape is a state. done is true termination
-only; horizon truncation is handled by the caller and never signals done, so
-bootstrapping is cut only at real terminals.
+state, step() maps (state, action) to (next_state, reward, done) with a
+Python float reward, observe() turns a state into the network-facing
+observation, and contains() tells whether an array of reset()'s shape is a
+state. done is true termination only; horizon truncation is handled by the
+caller and never signals done, so bootstrapping is cut only at real
+terminals.
 
 Tabular environments (chain, gridworld) expose their exact transition model
 for the value-iteration oracle.
@@ -301,7 +302,7 @@ class PendulumEnv:
         ) * self.DT
         theta_dot = float(np.clip(theta_dot, -self.MAX_SPEED, self.MAX_SPEED))
         theta = theta + theta_dot * self.DT
-        return np.array([theta, theta_dot]), reward, False
+        return np.array([theta, theta_dot]), float(reward), False
 
     def observe(self, state) -> np.ndarray:
         theta, theta_dot = state

@@ -125,10 +125,7 @@ class LayerViews(list):
 def layer_views(flat: np.ndarray, slices, shapes) -> LayerViews:
     """Views of a (P,) or (K, P) buffer's slices in their layers' shapes. A
     buffer is contiguous along its last axis, so every reshape is a view."""
-    if flat.ndim == 1:
-        return LayerViews([flat[sl].reshape(shape) for sl, shape in zip(slices, shapes)])
-    k = len(flat)
-    return LayerViews([flat[:, sl].reshape((k, *shape)) for sl, shape in zip(slices, shapes)])
+    return LayerViews([flat[..., sl].reshape(flat.shape[:-1] + shape) for sl, shape in zip(slices, shapes)])
 
 
 def pack(arrays, shapes) -> np.ndarray:
@@ -276,12 +273,7 @@ def forward(params: NetworkParams, mask: "Mask", x) -> np.ndarray:
     lay, flat = params.layout, params.flat
     effective = flat[: lay.n_weights] * mask.flat  # one multiply over the weight prefix
     for w, shape, b, spec in zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices, params.layer_specs):
-        a = a @ effective[w].reshape(shape).T
-        a += flat[b]
-        if spec.activation == "relu":
-            a = np.maximum(a, 0.0)
-        elif spec.activation == "tanh":
-            a = np.tanh(a)
+        a = _layer(a, effective[w].reshape(shape).T, flat[b], spec.activation)
     return a
 
 

@@ -199,7 +199,7 @@ def evaluate_policy(agent, env, episodes: int, rng: RngStream) -> float:
             if done:
                 break
         total += ep_return
-    return float(total / episodes)  # not np.float64, which pendulum's rewards make it
+    return total / episodes
 
 
 def run_training(

@@ -26,17 +26,16 @@ def chain_config(algorithm="eaude_dqn", total=1_200, seed=5, **extra):
     return build_config(overrides)
 
 
-# payload leaves: ints beyond 128 bits, every float (nan, infinities, -0.0)
-# and numeric arrays of 0-d, empty and multi-dimensional shapes
+# payload leaves, the types a state payload holds: ints beyond 128 bits, every
+# float (nan, infinities, -0.0), strings and float64, int64 and uint8 arrays of
+# 0-d, empty and multi-dimensional shapes
 leaves = (
     st.none()
-    | st.booleans()
     | st.integers(-(2**130), 2**130)
     | st.floats()
     | st.text(max_size=8)
-    | st.binary(max_size=8)
     | hnp.arrays(
-        st.sampled_from([np.float64, np.int64, np.uint8, np.bool_]),
+        st.sampled_from([np.float64, np.int64, np.uint8]),
         hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
     )
 )
@@ -68,27 +67,35 @@ class TestCodec:
     def test_round_trips_every_type(self):
         payload = {
             "none": None,
-            "flag": True,
             "small": -7,
             "big": (1 << 127) + 12345,  # PCG64-sized state integer
             "pi": 3.141592653589793,
             "nan": float("nan"),
             "text": "labels/with/slashes",
-            "blob": b"\x00\x01\xff",
-            "nested": {"list": [1, 2.5, "x", None, [True]], "arr": np.arange(6).reshape(2, 3)},
+            "nested": {"list": [1, 2.5, "x", None, [-1]], "arr": np.arange(6).reshape(2, 3)},
             "floats": np.array([0.1, -0.0, np.inf]),
-            "bools": np.array([True, False]),
+            "bits": np.packbits([1, 0, 1]),
         }
         out = decode_payload(encode_payload(payload))
-        assert out["none"] is None and out["flag"] is True
+        assert out["none"] is None
         assert out["small"] == -7 and out["big"] == payload["big"]
         assert out["pi"] == payload["pi"]
         assert np.isnan(out["nan"])
-        assert out["text"] == payload["text"] and out["blob"] == payload["blob"]
-        assert out["nested"]["list"] == [1, 2.5, "x", None, [True]]
+        assert out["text"] == payload["text"]
+        assert out["nested"]["list"] == [1, 2.5, "x", None, [-1]]
         assert np.array_equal(out["nested"]["arr"], payload["nested"]["arr"])
         assert np.array_equal(out["floats"], payload["floats"], equal_nan=True)
-        assert out["bools"].dtype == np.bool_
+        assert out["bits"].dtype == np.uint8 and out["bits"].tolist() == [0b1010_0000]
+
+    # a bool is an int and np.float64 a float to isinstance: each would be written as the other type
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(True, "bool"), (np.True_, "bool"), (b"x", "bytes"), (np.int64(1), "int64"), (np.float64(1.0), "float64"),
+         ((1, 2), "tuple"), (np.array([True, False]), "a bool array"), (np.zeros(2, np.float32), "a float32 array")],
+    )
+    def test_encode_refuses_what_a_payload_never_holds(self, value, kind):
+        with pytest.raises(CheckpointError, match=f"cannot serialize {kind}"):
+            encode_payload({"entry": [value]})
 
     @settings(max_examples=200, deadline=None)
     @given(payload=payloads)
@@ -132,6 +139,7 @@ def _array_header(dtype: bytes, shape: tuple, nbytes: int) -> bytes:
             + struct.pack("<Q", nbytes))
 
 
+_NOT_A_PAYLOAD_ARRAY = "not a float64, int64 or uint8 array at byte offset 13"
 # case -> (encoding after the magic, the byte offset the error names, error match)
 MALFORMED_HEADERS = {
     "negative_dimensions": (_array_header(b"<f8", (-1, -8), 64) + bytes(64), 41,
@@ -140,14 +148,18 @@ MALFORMED_HEADERS = {
                            "array length field 0 != expected 147573952589676412928 at byte offset 41"),
     "too_big_with_no_items": (_array_header(b"<f8", (0, 2**62), 0), 41,
                               r"array of shape \[0, 4611686018427387904\] at byte offset 41: array is too big"),
-    "unknown_dtype": (_array_header(b"zz", (1,), 8) + bytes(8), 13, "not a numeric array dtype at byte offset 13"),
-    "dtype_not_ascii": (_array_header(b"\xff", (1,), 8) + bytes(8), 13, "not a numeric array dtype at byte offset 13"),
+    # an array is float64, int64 or uint8: any other dtype, numpy's own included, is refused
+    "unknown_dtype": (_array_header(b"zz", (1,), 8) + bytes(8), 13, _NOT_A_PAYLOAD_ARRAY),
+    "dtype_not_ascii": (_array_header(b"\xff", (1,), 8) + bytes(8), 13, _NOT_A_PAYLOAD_ARRAY),
+    "complex_array": (_array_header(b"<c16", (1,), 16) + bytes(16), 13, _NOT_A_PAYLOAD_ARRAY),
+    "bool_array": (_array_header(b"|b1", (1,), 1) + bytes(1), 13, _NOT_A_PAYLOAD_ARRAY),
     "string_not_utf8": (b"S\x01\x00\x00\x00\xff", 13, "string that is not UTF-8 at byte offset 13"),
     "dict_key_not_utf8": (b"D\x01\x00\x00\x00S\x01\x00\x00\x00\xffN", 18,
                           "string that is not UTF-8 at byte offset 18"),
-    # encodings the encoder never writes: only 0x00 and 0x01 are bools, and an
+    # encodings the encoder never writes: no bool tag B or bytes tag Y, and an
     # int takes its shortest two's complement form
-    "bool_byte_two": (b"B\x02", 9, "bool byte 0x02 at byte offset 9"),
+    "bool_byte_two": (b"B\x02", 8, r"unknown tag b'B' at byte offset 8"),
+    "bytes_tag": (b"Y\x01\x00\x00\x00x", 8, r"unknown tag b'Y' at byte offset 8"),
     "int_with_a_padding_byte": (b"I\x02\x00\x00\x00\x05\x00", 13,
                                 "2-byte int 5 is not in its shortest form at byte offset 13"),
     "int_with_no_bytes": (b"I\x00\x00\x00\x00", 13, "0-byte int 0 is not in its shortest form at byte offset 13"),

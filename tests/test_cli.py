@@ -256,7 +256,7 @@ class TestEvaluateAndInspect:
         bad.write_bytes(magic + b"A\x02\x00\x00\x00zz\x01" + struct.pack("<qQ", 1, 8) + bytes(8))
         assert main(["inspect", "--checkpoint", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err == "config error: corrupted checkpoint: not a numeric array dtype at byte offset 13\n"
+        assert err == "config error: corrupted checkpoint: not a float64, int64 or uint8 array at byte offset 13\n"
 
     def test_deeply_nested_checkpoint_exits_2(self, run_dir, tmp_path, capsys):
         magic = (run_dir / "checkpoint.ckpt").read_bytes()[:8]
