@@ -14,10 +14,12 @@ with:
 - `forward/act`: one observation through the acting network (cart-pole: the
   Q row; pendulum: the actor, as a 1-row batch);
 - `forward/target`: a batch of next states through the target network
-  (cart-pole: the shared target; pendulum: a critic's soft target);
+  (cart-pole: the frozen shared target, called as `td_targets` calls it;
+  pendulum: a critic's soft target);
 - `td_loss_and_grad` and `adam_step` on the population stack (pendulum: one
   critic side), `train_member` (cart-pole) or `train_critic_member`
-  (pendulum) on the same stack;
+  (pendulum) on the same stack, the TD passes with one `nncore.Workspace`
+  kept across calls, as a run keeps it;
 - pendulum only, on the same critic side: `magnitude_mask` of the whole stack
   at its members' own targets (a prune event masks only the duplicates'
   rows), `exploration` of a fixed selection with two duplicates, and
@@ -31,8 +33,7 @@ the K=5 kernels that allocate stack-sized arrays against a copy of itself.
 With paths of one length, the two trees' processes differ only in the code
 they import.
 
-A tree whose TD pass takes a workspace (`nncore.Workspace`) is timed with one
-kept across calls, as a run keeps it. A process times every kernel in each of
+A process times every kernel in each of
 ROUNDS rounds, each time as the mean of CALLS calls after one untimed call,
 and keeps its fastest round. Each figure is the median over the REPEATS
 processes of its tree, in µs: the host's speed drifts from process to
@@ -71,7 +72,7 @@ LAYOUT = (f"each tree's package copied under a path of one length; a fresh proce
 def kernel_calls(mod: dict, config, state) -> dict:
     """Kernel name -> (shape label, zero-argument call) on a tree's trained state."""
     nncore = mod["nncore"]
-    ws = (nncore.Workspace(),) if hasattr(nncore, "Workspace") else ()
+    ws = nncore.Workspace()
     batch = state.buffer.sample_batch(config.batch_size, mod["rng"].RngStream(config.seed, "kernels"))
     targets = batch.rewards.astype(float)
     n = config.batch_size
@@ -82,12 +83,11 @@ def kernel_calls(mod: dict, config, state) -> dict:
         grad = nncore.td_loss_and_grad(stack.params, stack.mask, batch.states, batch.actions, targets)[1]
         return {
             "forward/act": ("1 x 4-32-32-2", lambda: nncore.forward(row.params, row.mask, obs)),
-            "forward/target": (f"{n} x 4-32-32-2",
-                               lambda: nncore.forward(pop.target_params, pop.target_mask, batch.next_states)),
+            "forward/target": (f"{n} x 4-32-32-2", lambda: pop.target(batch.next_states)),
             "td_loss_and_grad": (f"K={k}, {n} x 4-32-32-2", lambda: nncore.td_loss_and_grad(
-                stack.params, stack.mask, batch.states, batch.actions, targets, *ws)),
+                stack.params, stack.mask, batch.states, batch.actions, targets, ws)),
             "adam_step": (f"K={k}, 4-32-32-2", lambda: nncore.adam_step(stack.params, grad, stack.optimizer)),
-            "train_member": (f"K={k}, {n} x 4-32-32-2", lambda: mod["dqn"].train_member(stack, batch, targets, *ws)),
+            "train_member": (f"K={k}, {n} x 4-32-32-2", lambda: mod["dqn"].train_member(stack, batch, targets, ws)),
         }
     sac, policy, side = mod["sac"], state.policy, state.twin.sides[0]
     stack, target = side.stack, side.target_network(0)
@@ -105,10 +105,10 @@ def kernel_calls(mod: dict, config, state) -> dict:
         "forward/act": ("1 x 3-48-48-2 (actor)", lambda: nncore.forward(policy.params, policy.mask, obs)),
         "forward/target": (f"{n} x {critic}", lambda: nncore.forward(target.params, target.mask, inputs)),
         "td_loss_and_grad": (f"K={side.k}, {n} x {critic}", lambda: nncore.td_loss_and_grad(
-            stack.params, stack.mask, inputs, zeros, targets, *ws)),
+            stack.params, stack.mask, inputs, zeros, targets, ws)),
         "adam_step": (f"K={side.k}, {critic}", lambda: nncore.adam_step(stack.params, grad, stack.optimizer)),
         "train_critic_member": (f"K={side.k}, {n} x {critic}",
-                                lambda: sac.train_critic_member(stack, inputs, targets, config.tau, *ws)),
+                                lambda: sac.train_critic_member(stack, inputs, targets, config.tau, ws)),
         "magnitude_mask": (f"K={side.k}, {critic}",
                            lambda: mod["pruning"].magnitude_mask(stack.params, stack.mask_target)),
         "exploration": (f"K={side.k}, {critic}, 2 duplicates",

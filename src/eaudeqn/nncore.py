@@ -1,10 +1,12 @@
 """Dense feed-forward networks with manual backpropagation and Adam.
 
-A network's parameters live in one contiguous float64 buffer,
+Every network is an MLP: ReLU hidden layers and a linear output layer, so a
+layer's position fixes its activation and a LayerSpec holds only widths. A
+network's parameters live in one contiguous float64 buffer,
 NetworkParams.flat: every layer's (out, in) weight matrix, row-major, then
 every layer's (out,) bias vector. A binary mask (pruning.Mask) is one buffer
 laid out like that weight prefix, so masking is one multiply over the prefix;
-biases are never masked. Every forward/backward call takes a mask: the
+biases are never masked. Every forward and reverse pass takes a mask: the
 effective weight is w * mask, and gradients at masked positions are hard
 zeros, so pruned weights are exact training fixed points under a fresh
 optimizer. NetworkParams.weights and .biases (and Mask.layers) are per-layer
@@ -24,14 +26,14 @@ DQN target) is a single one.
 The kernels return new parameter/state values and never mutate their inputs.
 td_loss_and_grad takes an optional Workspace: the scratch arrays of one
 (layout, stack rows, batch) shape, filled with `out=` instead of allocated per
-call. It holds the effective weights, each layer's activations and activation
-derivatives (which the reverse pass overwrites with its deltas and dz), the
-output gradient and the unmasked parameter gradient. Nothing the kernel
-returns aliases a workspace: the loss and gradient are fresh arrays. Without
-one it builds a throwaway workspace, so there is one code path. A Frozen network holds the
-effective weights of one network that many forward passes read unchanged (the
-shared DQN target between target updates), beside the params and mask it was
-built from.
+call. It holds the effective weights, each layer's activations, each hidden
+layer's ReLU derivative (which the reverse pass overwrites with its deltas and
+dz), the output gradient and the unmasked parameter gradient. Nothing the
+kernel returns aliases a workspace: the loss and gradient are fresh arrays.
+Without one it builds a throwaway workspace, so there is one code path. A
+Frozen network holds the effective weights of one network that many forward
+passes read unchanged (the shared DQN target between target updates), beside
+the params and mask it was built from.
 """
 
 from __future__ import annotations
@@ -50,14 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .pruning import Mask
     from .rng import RngStream
 
-ACTIVATIONS = ("relu", "tanh", "identity")
-
 
 @dataclass(frozen=True)
 class LayerSpec:
     input_width: int
     output_width: int
-    activation: str = "relu"
 
 
 def validate_layer_specs(layer_specs: Sequence[LayerSpec]) -> tuple[LayerSpec, ...]:
@@ -68,8 +67,6 @@ def validate_layer_specs(layer_specs: Sequence[LayerSpec]) -> tuple[LayerSpec, .
     for i, spec in enumerate(specs):
         if spec.input_width < 1 or spec.output_width < 1:
             raise ConfigError(f"layer {i}: widths must be >= 1, got {spec}")
-        if spec.activation not in ACTIVATIONS:
-            raise ConfigError(f"layer {i}: unknown activation {spec.activation!r}")
         if i > 0 and specs[i - 1].output_width != spec.input_width:
             raise ConfigError(
                 f"layer {i}: input width {spec.input_width} does not chain with "
@@ -78,15 +75,11 @@ def validate_layer_specs(layer_specs: Sequence[LayerSpec]) -> tuple[LayerSpec, .
     return specs
 
 
-def mlp_layer_specs(widths: Sequence[int], output_activation: str = "identity") -> tuple[LayerSpec, ...]:
-    """ReLU MLP specs from a width chain like [4, 32, 32, 2]."""
+def mlp_layer_specs(widths: Sequence[int]) -> tuple[LayerSpec, ...]:
+    """The layer specs of a width chain like [4, 32, 32, 2]."""
     if len(widths) < 2:
         raise ConfigError("width chain needs at least input and output")
-    specs = []
-    for i in range(len(widths) - 1):
-        act = output_activation if i == len(widths) - 2 else "relu"
-        specs.append(LayerSpec(int(widths[i]), int(widths[i + 1]), act))
-    return validate_layer_specs(specs)
+    return validate_layer_specs([LayerSpec(int(i), int(o)) for i, o in zip(widths, widths[1:])])
 
 
 class Layout(NamedTuple):
@@ -247,14 +240,12 @@ def _all_finite(a: np.ndarray, flags: np.ndarray | None = None) -> bool:
     return np.count_nonzero(np.isfinite(a, out=flags)) == a.size
 
 
-def _layer(a: np.ndarray, w_t: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
-    """activation(a @ w_t + b) in a fresh array."""
+def _layer(a: np.ndarray, w_t: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """a @ w_t + b in a fresh array, through a ReLU if `relu` (a hidden layer)."""
     z = a @ w_t
     z += b
-    if activation == "relu":
+    if relu:
         np.maximum(z, 0.0, out=z)
-    elif activation == "tanh":
-        np.tanh(z, out=z)
     return z
 
 
@@ -272,18 +263,19 @@ def forward(params: NetworkParams, mask: "Mask", x) -> np.ndarray:
     _check_input(params, mask, a)
     lay, flat = params.layout, params.flat
     effective = flat[: lay.n_weights] * mask.flat  # one multiply over the weight prefix
-    for w, shape, b, spec in zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices, params.layer_specs):
-        a = _layer(a, effective[w].reshape(shape).T, flat[b], spec.activation)
+    last = len(lay.weight_shapes) - 1
+    for i, (w, shape, b) in enumerate(zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices)):
+        a = _layer(a, effective[w].reshape(shape).T, flat[b], i < last)
     return a
 
 
 class Frozen:
     """One network made ready for many forward passes: per layer, its
     transposed effective weights (views into one buffer, w * mask made with
-    one multiply), its biases and its activation, built once. Calling it maps
-    inputs exactly as forward(params, mask, x) does, without redoing that
-    work (the shared DQN target, frozen once per target update). It keeps the
-    params and mask it was built from.
+    one multiply), its biases and whether it is a hidden (ReLU) layer, built
+    once. Calling it maps inputs exactly as forward(params, mask, x) does,
+    without redoing that work (the shared DQN target, frozen once per target
+    update). It keeps the params and mask it was built from.
 
     The biases are views of the network's buffer: freeze a network that is
     replaced, not written in place, while the frozen copy is in use.
@@ -298,9 +290,10 @@ class Frozen:
         self.params, self.mask = params, mask
         lay, flat = params.layout, params.flat
         effective = flat[: lay.n_weights] * mask.flat
+        last = len(lay.weight_shapes) - 1
         self.layers = [
-            (effective[w].reshape(shape).T, flat[b], spec.activation)
-            for w, shape, b, spec in zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices, params.layer_specs)
+            (effective[w].reshape(shape).T, flat[b], i < last)
+            for i, (w, shape, b) in enumerate(zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices))
         ]
         self.input_width = params.layer_specs[0].input_width
 
@@ -318,13 +311,13 @@ class Workspace:
     Shaped on first use for a (layout, stack rows, batch), and reshaped only
     if that changes. It holds the effective weights w * mask (one buffer and
     its per-layer views); per layer, the activations (the pre-activations
-    first, activated in place, and in the reverse pass the delta w.r.t. them)
-    and the activation's derivative (computed in the forward pass, and in the
-    reverse pass the dz it multiplies into); the output gradient `dout`; and
-    the parameter gradient before it is masked into a fresh buffer. The
-    kernels fill them with `out=`, and nothing they return aliases a
-    workspace, so a run keeps one per concurrent pass and reuses it every
-    step. A kernel given none builds a throwaway one.
+    first, activated in place, and in the reverse pass the delta w.r.t. them);
+    per hidden layer, the ReLU's derivative (computed in the forward pass, and
+    in the reverse pass the dz it multiplies into); the output gradient
+    `dout`; and the parameter gradient before it is masked into a fresh
+    buffer. The kernels fill them with `out=`, and nothing they return
+    aliases a workspace, so a run keeps one per concurrent pass and reuses it
+    every step. A kernel given none builds a throwaway one.
     """
 
     def __init__(self):
@@ -333,17 +326,17 @@ class Workspace:
     def fit(self, params: NetworkParams, batch: int) -> "Workspace":
         key = (params.layout, params.flat.shape[:-1], batch)
         if key != self.key:
-            self._build(params.layer_specs, *key)
+            self._build(*key)
         return self
 
-    def _build(self, specs, lay: Layout, lead: tuple, batch: int) -> None:
+    def _build(self, lay: Layout, lead: tuple, batch: int) -> None:
         self.key = (lay, lead, batch)
         self.effective = np.empty(lead + (lay.n_weights,))
         self.weights = layer_views(self.effective, lay.weight_slices, lay.weight_shapes)
         self.weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         self.x = None  # the input batch of the last forward pass
-        self.outputs = [np.empty(lead + (batch, s.output_width)) for s in specs]
-        self.derivs = [None if s.activation == "identity" else np.empty(a.shape) for a, s in zip(self.outputs, specs)]
+        self.outputs = [np.empty(lead + (batch,) + shape) for shape in lay.bias_shapes]
+        self.derivs = [np.empty(a.shape) for a in self.outputs[:-1]]  # the hidden layers' ReLU derivatives
         self.finite = [np.empty(a.shape, dtype=bool) for a in self.outputs]
         self.dout = np.empty(self.outputs[-1].shape)
         self.rows = np.arange(batch)
@@ -362,25 +355,21 @@ class Workspace:
 
 def _forward_cache(params: NetworkParams, mask: "Mask", x: np.ndarray, workspace: Workspace | None = None) -> Workspace:
     """Forward pass over a batch keeping what the reverse pass reads (masked
-    weights, activations, activation derivatives) in the workspace."""
+    weights, activations, the hidden layers' ReLU derivatives) in the workspace."""
     _check_input(params, mask, x)
     ws = (Workspace() if workspace is None else workspace).fit(params, x.shape[0])
     lay, flat = params.layout, params.flat
     np.multiply(flat[..., : lay.n_weights], mask.flat, out=ws.effective)
     stacked = flat.ndim == 2
     ws.x = a = x
-    for i, spec in enumerate(params.layer_specs):
+    for i, b in enumerate(lay.bias_slices):
         z = np.matmul(a, ws.weights_t[i], out=ws.outputs[i])
-        z += flat[:, None, lay.bias_slices[i]] if stacked else flat[lay.bias_slices[i]]
+        z += flat[:, None, b] if stacked else flat[b]
         if not _all_finite(z, ws.finite[i]):
             raise NonFiniteError(f"non-finite pre-activation in layer {i}", layer_index=i)
-        if spec.activation == "relu":  # derivative 1.0 / 0.0 as floats: a float multiply is faster than a cast
+        if i < len(ws.derivs):  # ReLU, derivative 1.0 / 0.0 as floats: a float multiply is faster than a cast
             np.greater(z, 0.0, out=ws.derivs[i])
             np.maximum(z, 0.0, out=z)
-        elif spec.activation == "tanh":  # derivative 1 - a^2
-            np.tanh(z, out=z)
-            d = np.multiply(z, z, out=ws.derivs[i])
-            np.subtract(1.0, d, out=d)
         a = z
     return ws
 
@@ -405,17 +394,15 @@ def backprop_from_output(
     """
     if param_grads:
         flat, grad_weights, grad_biases = ws.grad()
-    delta = dout
-    for i in reversed(range(len(params.layer_specs))):
-        dz = delta
-        if ws.derivs[i] is not None:
-            dz = np.multiply(delta, ws.derivs[i], out=ws.derivs[i])
+    dz = dout  # the output layer is linear
+    for i in reversed(range(len(ws.outputs))):
         a_in = ws.outputs[i - 1] if i else ws.x
         if param_grads:
             np.matmul(dz.swapaxes(-1, -2), a_in, out=grad_weights[i])
             np.add.reduce(dz, axis=-2, out=grad_biases[i])  # dz.sum(axis=-2)
         if i:  # layer i-1's activations are read for the last time above
             delta = np.matmul(dz, ws.weights[i], out=a_in)
+            dz = np.multiply(delta, ws.derivs[i - 1], out=ws.derivs[i - 1])
         elif input_grad:
             delta = dz @ ws.weights[0]
     grad = None
@@ -463,11 +450,6 @@ def td_loss_and_grad(
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 
-def backward(params, mask, batch_inputs, batch_action_indices, batch_targets) -> NetworkParams:
-    """Gradient of the summed squared TD error (see td_loss_and_grad)."""
-    return td_loss_and_grad(params, mask, batch_inputs, batch_action_indices, batch_targets)[1]
-
-
 @dataclass
 class AdamState:
     """Adam accumulators plus hyperparameters; the moments are laid out like
@@ -486,26 +468,11 @@ class AdamState:
     beta2: float = 0.999
 
 
-def init_adam_state(
-    params: NetworkParams,
-    learning_rate: float,
-    epsilon: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-) -> AdamState:
+def init_adam_state(params: NetworkParams, learning_rate: float, epsilon: float) -> AdamState:
+    """A fresh optimizer with the default betas."""
     if learning_rate <= 0 or epsilon <= 0:
         raise ConfigError("learning_rate and epsilon must be positive")
-    if not (0 < beta1 < 1 and 0 < beta2 < 1):
-        raise ConfigError("beta1 and beta2 must lie in (0, 1)")
-    return AdamState(
-        m=zeros_like_params(params),
-        v=zeros_like_params(params),
-        step_count=0,
-        learning_rate=float(learning_rate),
-        epsilon=float(epsilon),
-        beta1=float(beta1),
-        beta2=float(beta2),
-    )
+    return AdamState(zeros_like_params(params), zeros_like_params(params), 0, float(learning_rate), float(epsilon))
 
 
 def adam_step(

@@ -1,18 +1,17 @@
 """Finite-difference gradient oracle shared by unit and acceptance tests.
 
-The oracle only touches forward(); the analytic path under test is backward().
-ReLU makes the loss non-differentiable on a measure-zero set, so sampled
+The oracle only touches forward(); the analytic path under test is
+td_loss_and_grad(). Cases have the shape every run builds: 1-3 layers, ReLU
+hidden layers and a linear output. ReLU makes the loss non-differentiable on a measure-zero set, so sampled
 check cases are rejected while any pre-activation sits within the probe step
 of a kink; rejected trials are re-drawn deterministically.
 """
 
 import numpy as np
 
-from eaudeqn.nncore import LayerSpec, NetworkParams, forward, zeros_like_params
+from eaudeqn.nncore import NetworkParams, forward, mlp_layer_specs, zeros_like_params
 from eaudeqn.pruning import magnitude_mask, mask_of_ones
 from eaudeqn.rng import RngStream
-
-ACTS = ("relu", "tanh", "identity")
 
 
 def td_loss_only(params, mask, x, actions, targets):
@@ -56,10 +55,8 @@ def max_relative_error(grad, fd_grad):
     return worst
 
 
-def _random_net(rng, widths, activations):
-    specs = tuple(
-        LayerSpec(widths[i], widths[i + 1], activations[i]) for i in range(len(widths) - 1)
-    )
+def _random_net(rng, widths):
+    specs = mlp_layer_specs(widths)
     weights = [rng.normal(scale=0.8, size=(s.output_width, s.input_width)) for s in specs]
     biases = [rng.normal(scale=0.5, size=s.output_width) for s in specs]
     return NetworkParams(weights, biases, specs)
@@ -67,13 +64,11 @@ def _random_net(rng, widths, activations):
 
 def _kink_free(params, mask, x, margin):
     a = np.atleast_2d(np.asarray(x, dtype=float))
-    for i, spec in enumerate(params.layer_specs):
-        z = a @ (params.weights[i] * mask.layers[i]).T + params.biases[i]
-        if spec.activation == "relu" and np.min(np.abs(z)) < margin:
+    for w, b, m in list(zip(params.weights, params.biases, mask.layers))[:-1]:  # the hidden (ReLU) layers
+        z = a @ (w * m).T + b
+        if np.min(np.abs(z)) < margin:
             return False
-        a = np.maximum(z, 0.0) if spec.activation == "relu" else (
-            np.tanh(z) if spec.activation == "tanh" else z
-        )
+        a = np.maximum(z, 0.0)
     return True
 
 
@@ -83,8 +78,7 @@ def sample_fd_case(trial, batch=4, max_layers=3, max_width=8, with_mask=False, h
         rng = RngStream(trial * 1009 + attempt, "gradcheck/case")
         n_layers = int(rng.integers(1, max_layers + 1))
         widths = [int(rng.integers(2, max_width + 1)) for _ in range(n_layers + 1)]
-        activations = [ACTS[int(rng.integers(0, len(ACTS)))] for _ in range(n_layers)]
-        net = _random_net(rng, widths, activations)
+        net = _random_net(rng, widths)
         if with_mask:
             mask = magnitude_mask(net, float(rng.uniform(0.0, 0.5)))
         else:

@@ -23,7 +23,7 @@ from eaudeqn.checkpoint import encode_payload, load_checkpoint, save_checkpoint,
 from eaudeqn.config import build_config
 from eaudeqn.envs import make_env, policy_matches_oracle, value_iteration
 from eaudeqn.metrics import bootstrap_iqm_interval, iqm
-from eaudeqn.nncore import backward, forward
+from eaudeqn.nncore import forward, td_loss_and_grad
 from eaudeqn.population import exploitation, select_target
 from eaudeqn.pruning import EauDeConfig, PolyPruneConfig, poly_schedule, sample_sparsity
 from eaudeqn.rng import RngStream
@@ -103,7 +103,7 @@ def test_01_gradient_oracle_against_finite_differences():
     worst = 0.0
     for trial in range(100):
         net, mask, x, actions, targets = sample_fd_case(trial)
-        grad = backward(net, mask, x, actions, targets)
+        grad = td_loss_and_grad(net, mask, x, actions, targets)[1]
         fd = finite_difference_grad(net, mask, x, actions, targets)
         worst = max(worst, max_relative_error(grad, fd))
     elapsed = time.perf_counter() - t0

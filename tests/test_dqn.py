@@ -18,7 +18,7 @@ def constant_q_net(values):
     values = np.asarray(values, dtype=float)
     n = values.size
     params = NetworkParams(
-        [np.zeros((n, 1))], [values.copy()], (LayerSpec(1, n, "identity"),)
+        [np.zeros((n, 1))], [values.copy()], (LayerSpec(1, n),)
     )
     return params
 

@@ -6,7 +6,6 @@ from eaudeqn.nncore import (
     LayerSpec,
     NetworkParams,
     adam_step,
-    backward,
     forward,
     init_adam_state,
     init_network,
@@ -20,16 +19,8 @@ from eaudeqn.pruning import mask_of_ones
 from eaudeqn.rng import RngStream
 
 
-def make_net(widths, rng=None, activations=None):
-    if activations is None:
-        specs = mlp_layer_specs(widths)
-    else:
-        specs = tuple(
-            LayerSpec(widths[i], widths[i + 1], activations[i]) for i in range(len(widths) - 1)
-        )
-    if rng is None:
-        rng = RngStream(0, "test/init")
-    return init_network(specs, rng)
+def make_net(widths, rng=None):
+    return init_network(mlp_layer_specs(widths), RngStream(0, "test/init") if rng is None else rng)
 
 
 from gradcheck import finite_difference_grad, max_relative_error, sample_fd_case
@@ -47,16 +38,17 @@ class TestForward:
         net = make_net([5, 6, 3])
         x = RngStream(1, "x").normal(size=5)
         masked = forward(net, mask_of_ones(net), x)
-        # reference without any masking machinery
+        # reference without any masking machinery: ReLU on every layer but the last
         a = x
-        for w, b, spec in zip(net.weights, net.biases, net.layer_specs):
+        last = len(net.weights) - 1
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
             z = a @ w.T + b
-            a = np.maximum(z, 0.0) if spec.activation == "relu" else z
+            a = np.maximum(z, 0.0) if i < last else z
         assert np.array_equal(masked, a)
 
     def test_hand_computed_single_layer(self):
-        # weights [[1,2],[3,4]], bias 0, identity: W @ [1,1] = [3, 7]
-        specs = (LayerSpec(2, 2, "identity"),)
+        # weights [[1,2],[3,4]], bias 0, linear output: W @ [1,1] = [3, 7]
+        specs = (LayerSpec(2, 2),)
         net = NetworkParams([np.array([[1.0, 2.0], [3.0, 4.0]])], [np.zeros(2)], specs)
         out = forward(net, mask_of_ones(net), [1.0, 1.0])
         assert np.array_equal(out, np.array([3.0, 7.0]))
@@ -87,7 +79,7 @@ class TestBackward:
         actions = np.array([0, 1, 0, 1])
         out = np.atleast_2d(forward(net, mask, x))
         targets = out[np.arange(4), actions]
-        grad = backward(net, mask, x, actions, targets)
+        grad = td_loss_and_grad(net, mask, x, actions, targets)[1]
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grad.weights)
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grad.biases)
 
@@ -96,7 +88,7 @@ class TestBackward:
         mask = mask_of_ones(net)
         mask.layers[0] = np.zeros_like(mask.layers[0])
         x = RngStream(4, "ml").normal(size=(4, 3))
-        grad = backward(net, mask, x, [0, 1, 1, 0], [1.0, -1.0, 0.5, 2.0])
+        grad = td_loss_and_grad(net, mask, x, [0, 1, 1, 0], [1.0, -1.0, 0.5, 2.0])[1]
         assert np.array_equal(grad.weights[0], np.zeros_like(grad.weights[0]))
 
     def test_matches_finite_differences(self):
@@ -110,7 +102,7 @@ class TestBackward:
         net = make_net([2, 3, 2])
         net.weights[1][0, 0] = np.inf
         with pytest.raises(NonFiniteError) as info:
-            backward(net, mask_of_ones(net), [[1.0, 1.0]], [0], [0.0])
+            td_loss_and_grad(net, mask_of_ones(net), [[1.0, 1.0]], [0], [0.0])
         assert info.value.layer_index == 1
 
 
@@ -133,9 +125,7 @@ class TestAdam:
 
     def test_deterministic(self):
         net = make_net([3, 4, 2])
-        grad = backward(
-            net, mask_of_ones(net), np.ones((2, 3)), [0, 1], [1.0, 2.0]
-        )
+        grad = td_loss_and_grad(net, mask_of_ones(net), np.ones((2, 3)), [0, 1], [1.0, 2.0])[1]
         state = init_adam_state(net, 1e-3, 1e-8)
         a1, s1 = adam_step(net, grad, state)
         a2, s2 = adam_step(net, grad, state)
@@ -165,7 +155,7 @@ class TestAdam:
 
     def test_reset_then_step_equals_fresh_step(self):
         net = make_net([3, 4, 2])
-        grad = backward(net, mask_of_ones(net), np.ones((2, 3)), [0, 1], [3.0, -1.0])
+        grad = td_loss_and_grad(net, mask_of_ones(net), np.ones((2, 3)), [0, 1], [3.0, -1.0])[1]
         trained = init_adam_state(net, 1e-3, 1e-8)
         for _ in range(10):
             _, trained = adam_step(net, grad, trained)
@@ -184,7 +174,7 @@ class TestAdam:
         rng = RngStream(5, "fixedpoint")
         for _ in range(50):
             x = rng.normal(size=(4, 4))
-            grad = backward(net, mask, x, rng.integers(0, 3, size=4), rng.normal(size=4))
+            grad = td_loss_and_grad(net, mask, x, rng.integers(0, 3, size=4), rng.normal(size=4))[1]
             net, state = adam_step(net, grad, state)
         for w_new, w_old, m in zip(net.weights, frozen.weights, mask.layers):
             assert np.array_equal(w_new[m == 0.0], w_old[m == 0.0])
@@ -227,6 +217,6 @@ def test_gradient_correctness_sweep_small():
     """Seeded mini-version of the acceptance gradient sweep."""
     for trial in range(100, 115):
         net, mask, x, actions, targets = sample_fd_case(trial)
-        grad = backward(net, mask, x, actions, targets)
+        grad = td_loss_and_grad(net, mask, x, actions, targets)[1]
         fd = finite_difference_grad(net, mask, x, actions, targets)
         assert max_relative_error(grad, fd) < 1e-4

@@ -32,7 +32,7 @@ class FixedUniformRng:
 
 def single_layer_net(values):
     w = np.asarray(values, dtype=float).reshape(1, -1)
-    return NetworkParams([w], [np.zeros(1)], (LayerSpec(w.shape[1], 1, "identity"),))
+    return NetworkParams([w], [np.zeros(1)], (LayerSpec(w.shape[1], 1),))
 
 
 class TestMagnitudeMask:

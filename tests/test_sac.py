@@ -53,7 +53,7 @@ def constant_policy(mean=0.0, raw_log_std=0.0):
     params = NetworkParams(
         [np.zeros((2 * ACT_D, OBS_W))],
         [np.array([mean, raw_log_std])],
-        (LayerSpec(OBS_W, 2 * ACT_D, "identity"),),
+        (LayerSpec(OBS_W, 2 * ACT_D),),
     )
     opt = init_adam_state(params, 1e-3, 1e-8)
     return GaussianPolicy(params, mask_of_ones(params), opt, ACT_D, -2.0, 2.0)
@@ -66,7 +66,7 @@ def make_critic_member(seed=0, hidden=(8,), constant=None):
         params = NetworkParams(
             [np.zeros((1, OBS_W + ACT_D))],
             [np.array([float(constant)])],
-            (LayerSpec(OBS_W + ACT_D, 1, "identity"),),
+            (LayerSpec(OBS_W + ACT_D, 1),),
         )
     opt = init_adam_state(params, 1e-3, 1e-8)
     return fresh_member(params, opt, lineage_id=seed, with_target=True)

@@ -2,7 +2,8 @@
 
 One stacked gradient step (td_loss_and_grad, adam_step, the mask multiply
 and, for critics, the soft update) must give every row exactly the bits its
-member gets alone, whatever the members' masks and optimizer ages; and a
+member gets alone, whatever the members' masks and optimizer ages; forward,
+Frozen and the TD pass's forward must map a batch to the same bits; and a
 fresh population, drawn as a stack, must be the stack of K fresh members.
 """
 
@@ -18,6 +19,7 @@ from eaudeqn.errors import ConfigError
 from eaudeqn.nncore import (
     Frozen,
     NetworkParams,
+    _forward_cache,
     forward,
     init_adam_state,
     init_network,
@@ -129,6 +131,23 @@ def test_forward_and_frozen_refuse_a_stack():
             forward(stack.params, stack.mask, inputs)
     with pytest.raises(ConfigError, match="one network"):
         Frozen(stack.params, stack.mask)
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("widths", [[4, 48, 48, 1], [4, 32, 32, 2]], ids=["critic", "q"])
+def test_forward_frozen_and_the_td_pass_give_the_same_bits(widths, batch):
+    """forward, Frozen and the TD pass's forward each place the ReLU by a
+    layer's position; they must map a batch to the same bits, for a masked
+    network alone and for each row of a masked stack."""
+    members = _draw_members(3, widths, [2, 0, 1], [0.6, 0.0, 0.3], critic=widths[-1] == 1)
+    stack = stack_members(members)
+    x = RngStream(3, "stack/paths").normal(size=(batch, widths[0]))
+    stacked = _forward_cache(stack.params, stack.mask, x).outputs[-1]
+    for k, member in enumerate(members):
+        want = forward(member.params, member.mask, x)
+        assert np.array_equal(Frozen(member.params, member.mask)(x), want)
+        assert np.array_equal(_forward_cache(member.params, member.mask, x).outputs[-1], want)
+        assert np.array_equal(stacked[k], want)
 
 
 def _same_array(got, want) -> bool:

@@ -169,7 +169,7 @@ class TestNumericAbort:
 class TestEvaluatePolicy:
     def always_right_member(self):
         params = NetworkParams(
-            [np.zeros((2, 10))], [np.array([0.0, 1.0])], (LayerSpec(10, 2, "identity"),)
+            [np.zeros((2, 10))], [np.array([0.0, 1.0])], (LayerSpec(10, 2),)
         )
         return fresh_member(params, init_adam_state(params, 1e-3, 1e-8), lineage_id=0)
 
