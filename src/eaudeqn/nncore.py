@@ -1,8 +1,8 @@
 """Dense feed-forward networks with manual backpropagation and Adam.
 
 Every network is an MLP: ReLU hidden layers and a linear output layer, so a
-layer's position fixes its activation and a LayerSpec holds only widths. A
-network's parameters live in one contiguous float64 buffer,
+layer's position fixes its activation (Layout.relu) and a LayerSpec holds only
+widths. A network's parameters live in one contiguous float64 buffer,
 NetworkParams.flat: every layer's (out, in) weight matrix, row-major, then
 every layer's (out,) bias vector. A binary mask (pruning.Mask) is one buffer
 laid out like that weight prefix, so masking is one multiply over the prefix;
@@ -83,7 +83,8 @@ def mlp_layer_specs(widths: Sequence[int]) -> tuple[LayerSpec, ...]:
 
 
 class Layout(NamedTuple):
-    """Where each layer of a network sits in its buffer."""
+    """Where each layer of a network sits in its buffer, and whether it goes
+    through a ReLU: every layer but the last does, and the last is linear."""
 
     weight_shapes: tuple[tuple[int, int], ...]
     bias_shapes: tuple[tuple[int], ...]
@@ -91,6 +92,7 @@ class Layout(NamedTuple):
     bias_slices: tuple[slice, ...]
     n_weights: int  # W: the weight prefix, which a mask's buffer mirrors
     size: int  # P: weights, then biases
+    relu: tuple[bool, ...]
 
 
 @functools.cache
@@ -101,7 +103,8 @@ def layout(weight_shapes: tuple[tuple[int, int], ...]) -> Layout:
     slices = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
     n = len(weight_shapes)
     biases = tuple((o,) for o, _ in weight_shapes)
-    return Layout(tuple(weight_shapes), biases, slices[:n], slices[n:], bounds[n], bounds[-1])
+    relu = (True,) * (n - 1) + (False,)
+    return Layout(tuple(weight_shapes), biases, slices[:n], slices[n:], bounds[n], bounds[-1], relu)
 
 
 def spec_layout(layer_specs: tuple[LayerSpec, ...]) -> Layout:
@@ -263,9 +266,8 @@ def forward(params: NetworkParams, mask: "Mask", x) -> np.ndarray:
     _check_input(params, mask, a)
     lay, flat = params.layout, params.flat
     effective = flat[: lay.n_weights] * mask.flat  # one multiply over the weight prefix
-    last = len(lay.weight_shapes) - 1
-    for i, (w, shape, b) in enumerate(zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices)):
-        a = _layer(a, effective[w].reshape(shape).T, flat[b], i < last)
+    for w, shape, b, relu in zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices, lay.relu):
+        a = _layer(a, effective[w].reshape(shape).T, flat[b], relu)
     return a
 
 
@@ -290,10 +292,9 @@ class Frozen:
         self.params, self.mask = params, mask
         lay, flat = params.layout, params.flat
         effective = flat[: lay.n_weights] * mask.flat
-        last = len(lay.weight_shapes) - 1
         self.layers = [
-            (effective[w].reshape(shape).T, flat[b], i < last)
-            for i, (w, shape, b) in enumerate(zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices))
+            (effective[w].reshape(shape).T, flat[b], relu)
+            for w, shape, b, relu in zip(lay.weight_slices, lay.weight_shapes, lay.bias_slices, lay.relu)
         ]
         self.input_width = params.layer_specs[0].input_width
 
@@ -367,7 +368,7 @@ def _forward_cache(params: NetworkParams, mask: "Mask", x: np.ndarray, workspace
         z += flat[:, None, b] if stacked else flat[b]
         if not _all_finite(z, ws.finite[i]):
             raise NonFiniteError(f"non-finite pre-activation in layer {i}", layer_index=i)
-        if i < len(ws.derivs):  # ReLU, derivative 1.0 / 0.0 as floats: a float multiply is faster than a cast
+        if lay.relu[i]:  # derivative 1.0 / 0.0 as floats: a float multiply is faster than a cast
             np.greater(z, 0.0, out=ws.derivs[i])
             np.maximum(z, 0.0, out=z)
         a = z
