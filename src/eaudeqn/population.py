@@ -7,8 +7,8 @@ stacked along a leading axis (see nncore); its per-member scalars are then
 Member, plus its frozen shared target (nncore.Frozen, which keeps the target's
 params and mask; None on a critic side, whose members each hold a soft
 target), the champion index and the next lineage id. So a gradient pass over
-the population is one batched forward and reverse pass and one Adam step, and a
-population is built, restored and replaced as its stack: set-up draws the K
+the population is one batched forward and reverse pass and one Adam step, and
+a population is built, restored and replaced as its stack: set-up draws the K
 networks into one buffer, and nothing stacks per-member records on a run's
 path. Population.members reads the stack as a list of per-row Member views:
 their arrays are views into the stack, their scalars are copies.
@@ -102,14 +102,18 @@ def _map_members(fn, *members: Member) -> Member:
         return None if xs[0] is None else xs[0].like(fn(*(x.flat for x in xs)))
 
     opts = [m.optimizer for m in members]
+    first = opts[0]
     return Member(
         params=buffers([m.params for m in members]),
         mask=buffers([m.mask for m in members]),
-        optimizer=replace(
-            opts[0],
-            m=buffers([o.m for o in opts]),
-            v=buffers([o.v for o in opts]),
-            step_count=fn(*(o.step_count for o in opts)),
+        optimizer=AdamState(
+            buffers([o.m for o in opts]),
+            buffers([o.v for o in opts]),
+            fn(*(o.step_count for o in opts)),
+            first.learning_rate,
+            first.epsilon,
+            first.beta1,
+            first.beta2,
         ),
         cumulated_loss=fn(*(m.cumulated_loss for m in members)),
         sparsity=fn(*(m.sparsity for m in members)),
