@@ -2,9 +2,10 @@
 
 The oracle only touches forward(); the analytic path under test is
 td_loss_and_grad(). Cases have the shape every run builds: 1-3 layers, ReLU
-hidden layers and a linear output. ReLU makes the loss non-differentiable on a measure-zero set, so sampled
-check cases are rejected while any pre-activation sits within the probe step
-of a kink; rejected trials are re-drawn deterministically.
+hidden layers and a linear output. ReLU makes the loss non-differentiable on
+a measure-zero set, so sampled check cases are rejected while any hidden
+pre-activation sits within the probe step of a kink; rejected trials are
+re-drawn deterministically.
 """
 
 import numpy as np
